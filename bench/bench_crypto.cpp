@@ -3,12 +3,12 @@
 // delegation rules (Figs 5/7).  These bound how expensive authenticated
 // delegation is per flow-setup.
 //
-// The fast-path flavours (DESIGN.md §9): BM_SchnorrVerifyPrecomputed
-// (per-key comb table, no doubling chain), BM_SchnorrVerifyColdKeys (keys
-// never seen twice — the no-precomputation floor), BM_EcMulAdd* (fused
-// Shamir double-scalar vs two full multiplications), BM_ScalarReduce*
-// (folding reduction mod n vs binary long division), and
-// BM_SchnorrVerifierMemoHit (the controller-layer verification memo).
+// The verification paths (DESIGN.md §9, §15): BM_SchnorrVerify (stateless
+// per-call GLV — the cold-key floor), BM_SchnorrVerifyTierSweep (registered
+// keys cold vs hot, i.e. per-call GLV vs per-key comb table),
+// BM_SchnorrBatchVerify (one multi-scalar pass per batch),
+// BM_SchnorrVerifierMemoHit (the controller-layer verification memo), and
+// BM_ScalarReduce* (folding reduction mod n vs binary long division).
 
 #include <benchmark/benchmark.h>
 
@@ -105,6 +105,8 @@ void BM_SchnorrSignVartime(benchmark::State& state) {
 }
 BENCHMARK(BM_SchnorrSignVartime);
 
+/// Plain crypto::verify: stateless, so every call runs the per-call GLV
+/// pass — the same cost a cold (tableless) registered key pays.
 void BM_SchnorrVerify(benchmark::State& state) {
   const crypto::PrivateKey key = crypto::PrivateKey::from_seed("bench");
   const std::string message(256, 'm');
@@ -115,73 +117,11 @@ void BM_SchnorrVerify(benchmark::State& state) {
 }
 BENCHMARK(BM_SchnorrVerify);
 
-/// Verification against a key whose comb table was built at registration:
-/// the per-daemon-key steady state on the flow-setup hot path.
-void BM_SchnorrVerifyPrecomputed(benchmark::State& state) {
-  const crypto::PrivateKey key = crypto::PrivateKey::from_seed("bench");
-  const crypto::PrecomputedPublicKey pre(key.public_key());
-  const std::string message(256, 'm');
-  const crypto::Signature sig = key.sign(message);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(crypto::verify(pre, message, sig));
-  }
-}
-BENCHMARK(BM_SchnorrVerifyPrecomputed);
-
-/// Verification floor with NO per-key amortization: a pool of keys larger
-/// than the shared table cache, so every verify runs the fused Shamir pass
-/// from scratch.
-void BM_SchnorrVerifyColdKeys(benchmark::State& state) {
-  struct Case {
-    crypto::PublicKey key;
-    crypto::Signature sig;
-  };
-  std::vector<Case> cases;
-  const std::string message(256, 'm');
-  for (int i = 0; i < 256; ++i) {
-    const crypto::PrivateKey key =
-        crypto::PrivateKey::from_seed("cold-" + std::to_string(i));
-    cases.push_back(Case{key.public_key(), key.sign(message)});
-  }
-  std::size_t i = 0;
-  for (auto _ : state) {
-    const Case& c = cases[i++ % cases.size()];
-    benchmark::DoNotOptimize(crypto::verify(c.key, message, c.sig));
-  }
-}
-BENCHMARK(BM_SchnorrVerifyColdKeys);
-
-/// The GLV cold-key floor in isolation: verify_tiered with no tables at
-/// all runs a*G + b*P through the endomorphism split — four half-length
-/// scalar streams on one ~130-double chain (DESIGN.md §15).
-void BM_SchnorrVerifyColdKeyGLV(benchmark::State& state) {
-  struct Case {
-    crypto::PublicKey key;
-    crypto::Signature sig;
-  };
-  std::vector<Case> cases;
-  const std::string message(256, 'm');
-  const auto bytes = std::span<const std::uint8_t>(
-      reinterpret_cast<const std::uint8_t*>(message.data()), message.size());
-  for (int i = 0; i < 256; ++i) {
-    const crypto::PrivateKey key =
-        crypto::PrivateKey::from_seed("glv-cold-" + std::to_string(i));
-    cases.push_back(Case{key.public_key(), key.sign(message)});
-  }
-  std::size_t i = 0;
-  for (auto _ : state) {
-    const Case& c = cases[i++ % cases.size()];
-    benchmark::DoNotOptimize(crypto::verify_tiered(c.key, /*hot=*/nullptr,
-                                                   /*warm=*/nullptr, bytes,
-                                                   c.sig));
-  }
-}
-BENCHMARK(BM_SchnorrVerifyColdKeyGLV);
-
 /// Batch verification of N distinct attestations from a small principal
 /// pool (a decide_many burst: a handful of daemons attest many flows).
 /// One random-linear-combination MSM settles the whole batch; compare
-/// time/N against BM_SchnorrVerifyPrecomputed for the per-item speedup.
+/// time/N against BM_SchnorrVerifyTierSweep/1 (hot) for the per-item
+/// speedup.
 /// The pool keys register eager-hot (default tier budget) — a decide_many
 /// burst comes from registered daemons, so their key terms ride the
 /// chain-free comb walk and only the 64-bit R-term streams set the shared
@@ -224,7 +164,7 @@ BENCHMARK(BM_SchnorrBatchVerify)->Arg(2)->Arg(8)->Arg(64);
 
 /// The key-tier budget sweep: 256 registered principals verified
 /// round-robin under a budget that holds (0) no tables — per-call GLV,
-/// (1) a warm GLV table per key, (2) a hot comb table per key.  The memo
+/// (1) a hot comb table per key, built eagerly at registration.  The memo
 /// is capacity 1 so every verification runs the group arithmetic.
 void BM_SchnorrVerifyTierSweep(benchmark::State& state) {
   constexpr std::size_t kKeys = 256;
@@ -232,27 +172,11 @@ void BM_SchnorrVerifyTierSweep(benchmark::State& state) {
     crypto::PublicKey key;
     crypto::Signature sig;
   };
+  const bool hot = state.range(0) != 0;
   crypto::KeyTierConfig tier_config;
-  switch (state.range(0)) {
-    case 0:
-      tier_config.table_budget_bytes = 0;
-      state.SetLabel("cold");
-      break;
-    case 1:
-      tier_config.table_budget_bytes =
-          kKeys * crypto::KeyTierStore::warm_table_bytes();
-      tier_config.warm_after = 1;
-      tier_config.hot_after = ~0ULL;  // never hot: isolate the warm tier
-      state.SetLabel("warm");
-      break;
-    default:
-      tier_config.table_budget_bytes =
-          kKeys * crypto::KeyTierStore::hot_table_bytes();
-      tier_config.warm_after = 1;
-      tier_config.hot_after = 1;
-      state.SetLabel("hot");
-      break;
-  }
+  tier_config.table_budget_bytes =
+      hot ? kKeys * crypto::KeyTierStore::hot_table_bytes() : 0;
+  state.SetLabel(hot ? "hot" : "cold");
   crypto::SchnorrVerifier verifier(/*memo_capacity=*/1, tier_config);
   std::vector<Case> cases;
   const std::string message(256, 'm');
@@ -262,10 +186,6 @@ void BM_SchnorrVerifyTierSweep(benchmark::State& state) {
     verifier.register_key(key.public_key());
     cases.push_back(Case{key.public_key(), key.sign(message)});
   }
-  // Pre-warm: every key crosses its promotion threshold before timing.
-  for (const Case& c : cases) {
-    benchmark::DoNotOptimize(verifier.verify(c.key, message, c.sig));
-  }
   std::size_t i = 0;
   for (auto _ : state) {
     const Case& c = cases[i++ % cases.size()];
@@ -274,7 +194,7 @@ void BM_SchnorrVerifyTierSweep(benchmark::State& state) {
   state.counters["table_mb"] =
       static_cast<double>(verifier.tiers().table_bytes()) / (1024.0 * 1024.0);
 }
-BENCHMARK(BM_SchnorrVerifyTierSweep)->Arg(0)->Arg(1)->Arg(2);
+BENCHMARK(BM_SchnorrVerifyTierSweep)->Arg(0)->Arg(1);
 
 /// The controller-layer verification memo: byte-identical attestations
 /// (retransmissions, one app's flows in a batch) cost a hash + LRU probe.
@@ -290,36 +210,6 @@ void BM_SchnorrVerifierMemoHit(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SchnorrVerifierMemoHit);
-
-/// Fused a*G + b*P (one Shamir-interleaved wNAF pass) ...
-void BM_EcMulAdd(benchmark::State& state) {
-  const crypto::PrivateKey key = crypto::PrivateKey::from_seed("bench");
-  const crypto::AffinePoint p = key.public_key().point;
-  const crypto::U256 a = crypto::hash_to_scalar(
-      std::span<const std::uint8_t>(reinterpret_cast<const std::uint8_t*>("a"), 1));
-  const crypto::U256 b = crypto::hash_to_scalar(
-      std::span<const std::uint8_t>(reinterpret_cast<const std::uint8_t*>("b"), 1));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(crypto::ec_mul_add(a, b, p));
-  }
-}
-BENCHMARK(BM_EcMulAdd);
-
-/// ... versus the pre-fusion shape: two full multiplications plus an add.
-void BM_EcMulAddTwoMuls(benchmark::State& state) {
-  const crypto::PrivateKey key = crypto::PrivateKey::from_seed("bench");
-  const crypto::AffinePoint p = key.public_key().point;
-  const crypto::U256 a = crypto::hash_to_scalar(
-      std::span<const std::uint8_t>(reinterpret_cast<const std::uint8_t*>("a"), 1));
-  const crypto::U256 b = crypto::hash_to_scalar(
-      std::span<const std::uint8_t>(reinterpret_cast<const std::uint8_t*>("b"), 1));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        crypto::ec_add(crypto::ec_mul(a, crypto::AffinePoint::generator()),
-                       crypto::ec_mul(b, p)));
-  }
-}
-BENCHMARK(BM_EcMulAddTwoMuls);
 
 /// Scalar reduction mod n: specialized folding vs generic long division.
 void BM_ScalarReduceFast(benchmark::State& state) {

@@ -528,7 +528,7 @@ PolicyDecisionEngine::PolicyDecisionEngine(pf::Ruleset ruleset,
   // Registration costs ~1000 EC ops and ~69 KB per key, so only policies
   // that can actually verify signatures (a verify() predicate, or
   // allowed() whose delegated rules may call verify) pay it; anything
-  // else leaves keys to the lazy second-sighting cache in schnorr.cpp.
+  // else registers nothing.
   const auto& verifier = engine_->registry().verifier();
   bool verifies = false;
   for (const pf::Rule& rule : engine_->ruleset().rules) {
@@ -553,14 +553,6 @@ PolicyDecisionEngine::PolicyDecisionEngine(pf::Ruleset ruleset,
 
 crypto::SchnorrVerifier* PolicyDecisionEngine::verifier() const noexcept {
   return engine_->registry().verifier().get();
-}
-
-void PolicyDecisionEngine::set_key_table_budget(std::size_t bytes) {
-  if (auto* v = verifier()) {
-    crypto::KeyTierConfig config;
-    config.table_budget_bytes = bytes;
-    v->set_tier_config(config);
-  }
 }
 
 pf::FlowContext PolicyDecisionEngine::make_flow_context(
@@ -697,48 +689,8 @@ AdmissionDecision AclDecisionEngine::decide(const AdmissionContext& ctx) {
 
 // ---------------------------------------------------------------- caches
 
-std::optional<AdmissionDecision> TtlDecisionCache::lookup(
-    const net::FiveTuple& flow, sim::SimTime now) {
-  const auto it = entries_.find(flow);
-  if (it == entries_.end()) {
-    ++stats_.misses;
-    return std::nullopt;
-  }
-  // expires == 0 marks a never-expiring entry (ttl = 0): the old
-  // `now + 0` stamp expired everything instantly, turning the cache into
-  // a silent bypass that still counted insertions.
-  if (it->second.expires > 0 && now >= it->second.expires) {
-    entries_.erase(it);
-    ++stats_.expirations;
-    ++stats_.misses;
-    return std::nullopt;
-  }
-  ++stats_.hits;
-  return it->second.decision;
-}
-
-void TtlDecisionCache::store(const net::FiveTuple& flow,
-                             const AdmissionDecision& decision,
-                             sim::SimTime now) {
-  entries_[flow] = Entry{decision, ttl_ > 0 ? now + ttl_ : 0};
-  ++stats_.insertions;
-}
-
-std::size_t TtlDecisionCache::invalidate_if(
-    const std::function<bool(const net::FiveTuple&)>& pred) {
-  const std::size_t removed = std::erase_if(
-      entries_, [&pred](const auto& entry) { return pred(entry.first); });
-  stats_.invalidations += removed;
-  return removed;
-}
-
-void TtlDecisionCache::clear() {
-  stats_.invalidations += entries_.size();
-  entries_.clear();
-}
-
 LruDecisionCache::LruDecisionCache(std::size_t capacity, sim::SimTime ttl)
-    : capacity_(capacity == 0 ? 1 : capacity), ttl_(ttl) {}
+    : capacity_(capacity), ttl_(ttl) {}
 
 std::optional<AdmissionDecision> LruDecisionCache::lookup(
     const net::FiveTuple& flow, sim::SimTime now) {
@@ -770,7 +722,7 @@ void LruDecisionCache::store(const net::FiveTuple& flow,
     ++stats_.insertions;
     return;
   }
-  if (entries_.size() >= capacity_) {
+  if (capacity_ > 0 && entries_.size() >= capacity_) {
     entries_.erase(order_.back().flow);
     order_.pop_back();
     ++stats_.evictions;
@@ -985,13 +937,10 @@ AdmissionPipeline& AdmissionPipeline::finish(const ControllerConfig& config) {
   // Caching activates when either knob is set: a capacity alone means a
   // pure LRU bound (entries never age out), a TTL alone an unbounded
   // time-based cache.
-  if (!cache) {
-    if (config.decision_cache_capacity > 0) {
-      cache = std::make_unique<LruDecisionCache>(config.decision_cache_capacity,
-                                                 config.decision_cache_ttl);
-    } else if (config.decision_cache_ttl > 0) {
-      cache = std::make_unique<TtlDecisionCache>(config.decision_cache_ttl);
-    }
+  if (!cache &&
+      (config.decision_cache_capacity > 0 || config.decision_cache_ttl > 0)) {
+    cache = std::make_unique<LruDecisionCache>(config.decision_cache_capacity,
+                                               config.decision_cache_ttl);
   }
   return *this;
 }

@@ -94,17 +94,18 @@ struct ControllerConfig {
   /// packet-ins for an already-decided flow (e.g. from later switches when
   /// install_full_path is off, or after an idle-timeout race) are answered
   /// without re-querying the daemons.  Caching is enabled when this or
-  /// decision_cache_capacity is nonzero.  ttl = 0 uniformly means entries
-  /// NEVER age out (both cache flavours): with a capacity that is a pure
-  /// LRU bound, without one (TtlDecisionCache constructed directly) the
-  /// cache only shrinks through invalidation.  It never means "bypass" —
+  /// decision_cache_capacity is nonzero.  ttl = 0 means entries NEVER age
+  /// out: with a capacity that is a pure LRU bound, without one (an
+  /// unbounded LruDecisionCache constructed directly) the cache only
+  /// shrinks through invalidation.  It never means "bypass" —
   /// a cache that expires everything instantly would count insertions and
   /// misses while silently disabling the §6 ablation it exists for.
   /// Revocation, policy swaps and the shard control epoch invalidate
   /// cached verdicts regardless of remaining TTL.
   sim::SimTime decision_cache_ttl = 0;
   /// Bound on cached decisions (0 = unbounded).  With a bound the cache
-  /// evicts least-recently-used entries (LruDecisionCache).
+  /// evicts least-recently-used entries; either way it is an
+  /// LruDecisionCache.
   std::size_t decision_cache_capacity = 0;
   /// Priority for installed per-flow entries; ident++ intercept rules are
   /// installed at kInterceptPriority and must stay on top.
@@ -140,14 +141,6 @@ struct ControllerConfig {
   /// way; the flag exists as the §6-style ablation and differential
   /// oracle.  Only PolicyDecisionEngine consults it.
   bool batch_policy_eval = true;
-  /// Byte budget for the PF verifier's per-key acceleration tables
-  /// (crypto::KeyTierConfig::table_budget_bytes): hot keys carry a ~69 KB
-  /// comb table, warm keys a ~1.3 KB GLV table, cold keys verify through
-  /// the table-free GLV path, with promotion by verify frequency
-  /// (DESIGN.md §15).  A fleet-scale shard tracking 10^6 principals caps
-  /// its table memory here while still registering every key.  0 = the
-  /// verifier's default budget.
-  std::size_t key_table_budget_bytes = 0;
   /// Injected determinism mutation (model-checker self-test, DESIGN.md
   /// §13): commit shard-lane verdicts without the control-epoch
   /// re-decision, so a revoke/set_policy landing between dispatch and
@@ -451,12 +444,6 @@ class PolicyDecisionEngine : public DecisionEngine {
   void set_batch_eval(bool enabled) noexcept { batch_eval_ = enabled; }
   [[nodiscard]] bool batch_eval() const noexcept { return batch_eval_; }
 
-  /// Cap the verifier's per-key acceleration-table memory
-  /// (ControllerConfig::key_table_budget_bytes is applied here by
-  /// AdmissionController).  Re-seeds already-registered dict keys into the
-  /// new budget; no-op for engines without a verifier.
-  void set_key_table_budget(std::size_t bytes);
-
   [[nodiscard]] const pf::PolicyEngine& policy_engine() const noexcept {
     return *engine_;
   }
@@ -564,36 +551,10 @@ class DecisionCache {
   Stats stats_;
 };
 
-/// Unbounded TTL cache: every entry expires `ttl` after insertion.
-/// ttl = 0 means entries never expire (matching LruDecisionCache's
-/// convention; see ControllerConfig::decision_cache_ttl) — the cache then
-/// only shrinks through invalidate_if/clear.
-class TtlDecisionCache : public DecisionCache {
- public:
-  explicit TtlDecisionCache(sim::SimTime ttl) : ttl_(ttl) {}
-
-  std::optional<AdmissionDecision> lookup(const net::FiveTuple& flow,
-                                          sim::SimTime now) override;
-  void store(const net::FiveTuple& flow, const AdmissionDecision& decision,
-             sim::SimTime now) override;
-  std::size_t invalidate_if(
-      const std::function<bool(const net::FiveTuple&)>& pred) override;
-  void clear() override;
-  [[nodiscard]] std::size_t size() const noexcept override {
-    return entries_.size();
-  }
-
- private:
-  struct Entry {
-    AdmissionDecision decision;
-    sim::SimTime expires = 0;
-  };
-  sim::SimTime ttl_;
-  std::unordered_map<net::FiveTuple, Entry> entries_;
-};
-
-/// Capacity-bounded LRU cache with optional TTL (0 = entries never age
-/// out, only eviction bounds them).  Lookup refreshes recency.
+/// LRU decision cache with optional capacity and TTL.  capacity = 0 means
+/// unbounded; ttl = 0 means entries never age out (see
+/// ControllerConfig::decision_cache_ttl) — with neither, the cache only
+/// shrinks through invalidate_if/clear.  Lookup refreshes recency.
 class LruDecisionCache : public DecisionCache {
  public:
   LruDecisionCache(std::size_t capacity, sim::SimTime ttl);
@@ -608,6 +569,7 @@ class LruDecisionCache : public DecisionCache {
   [[nodiscard]] std::size_t size() const noexcept override {
     return entries_.size();
   }
+  /// 0 = unbounded.
   [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
 
  private:
@@ -807,6 +769,7 @@ class AuditLogObserver : public AdmissionObserver {
   [[nodiscard]] const std::deque<DecisionRecord>& records() const noexcept {
     return records_;
   }
+  /// 0 = unbounded.
   [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
   /// Records discarded to stay within capacity.
   [[nodiscard]] std::uint64_t dropped() const noexcept { return dropped_; }

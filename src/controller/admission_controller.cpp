@@ -97,13 +97,9 @@ void AdmissionController::add_observer(
 
 void AdmissionController::apply_engine_config() {
   // Engine-level knobs that live in the controller's config: the
-  // batched-PF-evaluation ablation toggle and the verifier's key-table
-  // memory budget.
+  // batched-PF-evaluation ablation toggle.
   if (auto* policy = dynamic_cast<PolicyDecisionEngine*>(pipeline_.engine.get())) {
     policy->set_batch_eval(config_.batch_policy_eval);
-    if (config_.key_table_budget_bytes > 0) {
-      policy->set_key_table_budget(config_.key_table_budget_bytes);
-    }
   }
 }
 

@@ -203,8 +203,7 @@ bool IdentxxController::try_consume_response(const openflow::PacketIn& msg,
     // swallow it so it never forwards on toward a host that did not ask
     // (DESIGN.md §14).  The window mirrors augmented_'s reasoning on
     // 5-tuple reuse.
-    const auto it = recent_responses_.find(key);
-    if (it != recent_responses_.end() && now - it->second < kAugmentWindow) {
+    if (recent_responses_.contains(key, now)) {
       notify([&](AdmissionObserver& o) { o.on_duplicate_response(responder); });
       return true;
     }
@@ -216,12 +215,7 @@ bool IdentxxController::try_consume_response(const openflow::PacketIn& msg,
     notify([&](AdmissionObserver& o) { o.on_duplicate_response(responder); });
     return true;
   }
-  recent_responses_[key] = now;
-  if (recent_responses_.size() > 8192) {
-    std::erase_if(recent_responses_, [now](const auto& entry) {
-      return now - entry.second >= kAugmentWindow;
-    });
-  }
+  recent_responses_.insert(key, now);
   notify([&](AdmissionObserver& o) { o.on_response_received(responder); });
   maybe_decide(*ctx);
   return true;
@@ -242,22 +236,13 @@ void IdentxxController::handle_transit_response(const openflow::PacketIn& msg,
   if (augmenter_) {
     const std::string key = as_src.to_string() + "|" + responder.to_string();
     const sim::SimTime now = simulator().now();
-    const auto it = augmented_.find(key);
-    const bool recently_augmented =
-        it != augmented_.end() && now - it->second < kAugmentWindow;
-    if (!recently_augmented) {
+    if (!augmented_.contains(key, now)) {
       if (auto section = augmenter_(response, as_src)) {
         proto::Response augmented = response;
         augmented.append_section(std::move(*section));
         forwarded.packet.set_payload_text(augmented.serialize());
-        augmented_[key] = now;
+        augmented_.insert(key, now);
         notify([&](AdmissionObserver& o) { o.on_response_augmented(as_src); });
-        // Bound the cache: drop entries outside the window occasionally.
-        if (augmented_.size() > 8192) {
-          std::erase_if(augmented_, [now](const auto& entry) {
-            return now - entry.second >= kAugmentWindow;
-          });
-        }
       }
     }
   }

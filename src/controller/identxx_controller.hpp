@@ -29,10 +29,12 @@
 // cache, planning, collection, decision, installation — lives in the
 // pipeline stages (admission.hpp), where the baselines share it.
 
+#include <deque>
 #include <functional>
 #include <optional>
 #include <string>
 #include <unordered_map>
+#include <utility>
 
 #include "controller/admission_controller.hpp"
 #include "util/rng.hpp"
@@ -142,13 +144,49 @@ class IdentxxController : public AdmissionController {
   void forward_one_hop(const openflow::PacketIn& msg,
                        net::Ipv4Address toward_ip);
 
+  /// Keys seen less than `window` ago: a map from key to its latest
+  /// sighting plus a FIFO of (time, key) sightings.  Each insert pops the
+  /// expired sightings off the front, so memory tracks the keys inside the
+  /// window and every sighting is retired once, in O(1) amortised — no
+  /// sweep over the whole map.  Virtual time never runs backwards.
+  class RecentKeys {
+   public:
+    explicit RecentKeys(sim::SimTime window) : window_(window) {}
+
+    [[nodiscard]] bool contains(const std::string& key,
+                                sim::SimTime now) const {
+      const auto it = latest_.find(key);
+      return it != latest_.end() && now - it->second < window_;
+    }
+
+    void insert(const std::string& key, sim::SimTime now) {
+      while (!fifo_.empty() && now - fifo_.front().first >= window_) {
+        const auto& [when, old_key] = fifo_.front();
+        // A key re-inserted since this sighting is retired by its own
+        // later FIFO entry.
+        if (const auto it = latest_.find(old_key);
+            it != latest_.end() && it->second == when) {
+          latest_.erase(it);
+        }
+        fifo_.pop_front();
+      }
+      latest_[key] = now;
+      fifo_.emplace_back(now, key);
+    }
+
+   private:
+    sim::SimTime window_;
+    std::unordered_map<std::string, sim::SimTime> latest_;
+    std::deque<std::pair<sim::SimTime, std::string>> fifo_;
+  };
+
   /// Responses this controller recently augmented, so a response punted at
   /// every hop through the domain is only augmented once.  Time-bounded:
   /// an entry only suppresses re-augmentation within kAugmentWindow (a
   /// response crosses the domain in far less), so reused 5-tuples (port
   /// reuse on long-running networks) augment correctly again.
   static constexpr sim::SimTime kAugmentWindow = 1 * sim::kSecond;
-  std::unordered_map<std::string, sim::SimTime> augmented_;
+  RecentKeys augmented_{kAugmentWindow};
   /// Responses recently consumed into a pending flow, keyed by the
   /// flow-oriented tuple plus the carrying packet's ports: an identical
   /// copy arriving with no pending context within kAugmentWindow is a
@@ -156,7 +194,7 @@ class IdentxxController : public AdmissionController {
   /// (DESIGN.md §14).  Responses about the same flow on a different
   /// ephemeral port (a host querying its peer directly, §4) still
   /// transit.
-  std::unordered_map<std::string, sim::SimTime> recent_responses_;
+  RecentKeys recent_responses_{kAugmentWindow};
   ResponseAugmenter augmenter_;
   QueryInterceptor query_interceptor_;
   std::uint16_t next_query_port_ = 20000;

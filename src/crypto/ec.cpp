@@ -247,21 +247,6 @@ std::array<AffinePoint, 8> odd_multiples_common_z(const AffinePoint& p,
   return out;
 }
 
-/// psi applied entry-wise to a (common-Z) affine table: x -> beta*x.
-std::array<AffinePoint, 8> endo_table_affine(
-    const std::array<AffinePoint, 8>& tab) noexcept;
-
-/// Shared affine odd multiples {1G, 3G, ..., 15G} for the Shamir pass.
-const std::array<AffinePoint, 8>& generator_odd_multiples() {
-  static const std::array<AffinePoint, 8> tab = [] {
-    const auto jac = odd_multiples(AffinePoint::generator());
-    std::array<AffinePoint, 8> affine;
-    batch_normalize(jac.data(), affine.data(), jac.size());
-    return affine;
-  }();
-  return tab;
-}
-
 // ---- GLV internals ----
 
 /// GLV constants: beta, lambda and the lattice basis (a1, b1), (a2, b2)
@@ -326,6 +311,7 @@ std::array<JacobianPoint, 8> endo_table(
   return out;
 }
 
+/// psi applied entry-wise to a (common-Z) affine table: x -> beta*x.
 std::array<AffinePoint, 8> endo_table_affine(
     const std::array<AffinePoint, 8>& tab) noexcept {
   const U256& beta = glv_consts().beta;
@@ -849,26 +835,6 @@ JacobianPoint ec_add_mixed(const JacobianPoint& p, const AffinePoint& q) noexcep
   return JacobianPoint{x3, y3, z3};
 }
 
-JacobianPoint ec_mul(const U256& k, const AffinePoint& p) noexcept {
-  if (p.infinity) return JacobianPoint::identity();
-  const U256 kr = sn_reduce(k);
-  if (kr.is_zero()) return JacobianPoint::identity();
-  const std::array<JacobianPoint, 8> tab = odd_multiples(p);
-  std::array<std::int8_t, 258> digits;
-  const unsigned len = wnaf(kr, 5, digits);
-  JacobianPoint acc = JacobianPoint::identity();
-  for (int i = static_cast<int>(len) - 1; i >= 0; --i) {
-    acc = ec_double(acc);
-    const int d = digits[static_cast<std::size_t>(i)];
-    if (d > 0) {
-      acc = ec_add(acc, tab[static_cast<std::size_t>((d - 1) / 2)]);
-    } else if (d < 0) {
-      acc = ec_add(acc, ec_negate(tab[static_cast<std::size_t>((-d - 1) / 2)]));
-    }
-  }
-  return acc;
-}
-
 JacobianPoint ec_mul_naive(const U256& k, const AffinePoint& p) noexcept {
   JacobianPoint acc = JacobianPoint::identity();
   const JacobianPoint base = JacobianPoint::from_affine(p);
@@ -921,41 +887,6 @@ const FixedBaseTable& FixedBaseTable::generator() {
 
 JacobianPoint ec_mul_base(const U256& k) noexcept {
   return FixedBaseTable::generator().mul(k);
-}
-
-JacobianPoint ec_mul_add(const U256& a, const U256& b,
-                         const AffinePoint& p) noexcept {
-  if (p.infinity || sn_reduce(b).is_zero()) return ec_mul_base(a);
-  const U256 ar = sn_reduce(a);
-  const U256 br = sn_reduce(b);
-  if (ar.is_zero()) return ec_mul(br, p);
-
-  const std::array<AffinePoint, 8>& g_tab = generator_odd_multiples();
-  const std::array<JacobianPoint, 8> p_tab = odd_multiples(p);
-  std::array<std::int8_t, 258> da;
-  std::array<std::int8_t, 258> db;
-  const unsigned la = wnaf(ar, 5, da);
-  const unsigned lb = wnaf(br, 5, db);
-  const unsigned len = la > lb ? la : lb;
-
-  JacobianPoint acc = JacobianPoint::identity();
-  for (int i = static_cast<int>(len) - 1; i >= 0; --i) {
-    acc = ec_double(acc);
-    const std::size_t idx = static_cast<std::size_t>(i);
-    if (idx < la && da[idx] != 0) {
-      const int d = da[idx];
-      acc = d > 0 ? ec_add_mixed(acc, g_tab[static_cast<std::size_t>((d - 1) / 2)])
-                  : ec_add_mixed(
-                        acc, ec_negate(g_tab[static_cast<std::size_t>((-d - 1) / 2)]));
-    }
-    if (idx < lb && db[idx] != 0) {
-      const int d = db[idx];
-      acc = d > 0 ? ec_add(acc, p_tab[static_cast<std::size_t>((d - 1) / 2)])
-                  : ec_add(acc,
-                           ec_negate(p_tab[static_cast<std::size_t>((-d - 1) / 2)]));
-    }
-  }
-  return acc;
 }
 
 JacobianPoint ec_mul_add(const U256& a, const U256& b,
@@ -1093,58 +1024,6 @@ JacobianPoint ec_mul_add_glv(const U256& a, const U256& b,
   return acc;
 }
 
-GlvTable::GlvTable(const AffinePoint& base) : base_(base) {
-  const std::array<JacobianPoint, 8> jac = odd_multiples(base);
-  batch_normalize(jac.data(), tab_.data(), jac.size());
-  for (std::size_t i = 0; i < tab_.size(); ++i) {
-    psi_[i] = ec_endomorphism(tab_[i]);
-  }
-}
-
-JacobianPoint GlvTable::mul_add_base(const U256& a,
-                                     const U256& b) const noexcept {
-  if (base_.infinity || sn_reduce(b).is_zero()) return ec_mul_base(a);
-  const U256 ar = sn_reduce(a);
-  const U256 br = sn_reduce(b);
-  if (ar.is_zero()) return mul(br);
-
-  const GlvGenTables& gt = glv_generator_tables();
-  const GlvSplit sa = glv_split(ar);
-  const GlvSplit sb = glv_split(br);
-  std::array<std::int8_t, 258> da1;
-  std::array<std::int8_t, 258> da2;
-  std::array<std::int8_t, 258> db1;
-  std::array<std::int8_t, 258> db2;
-  const unsigned la1 = wnaf(sa.k1, kGlvGenWidth, da1);
-  const unsigned la2 = wnaf(sa.k2, kGlvGenWidth, da2);
-  const unsigned lb1 = wnaf(sb.k1, 5, db1);
-  const unsigned lb2 = wnaf(sb.k2, 5, db2);
-  if (sa.neg1) negate_digits(da1, la1);
-  if (sa.neg2) negate_digits(da2, la2);
-  if (sb.neg1) negate_digits(db1, lb1);
-  if (sb.neg2) negate_digits(db2, lb2);
-  const DigitStreamA as[4] = {{gt.g.data(), &da1, la1},
-                              {gt.psi.data(), &da2, la2},
-                              {tab_.data(), &db1, lb1},
-                              {psi_.data(), &db2, lb2}};
-  return wnaf_walk(as, 4, nullptr, 0);
-}
-
-JacobianPoint GlvTable::mul(const U256& k) const noexcept {
-  if (base_.infinity) return JacobianPoint::identity();
-  const U256 kr = sn_reduce(k);
-  if (kr.is_zero()) return JacobianPoint::identity();
-  const GlvSplit s = glv_split(kr);
-  std::array<std::int8_t, 258> d1;
-  std::array<std::int8_t, 258> d2;
-  const unsigned l1 = wnaf(s.k1, 5, d1);
-  const unsigned l2 = wnaf(s.k2, 5, d2);
-  if (s.neg1) negate_digits(d1, l1);
-  if (s.neg2) negate_digits(d2, l2);
-  const DigitStreamA as[2] = {{tab_.data(), &d1, l1}, {psi_.data(), &d2, l2}};
-  return wnaf_walk(as, 2, nullptr, 0);
-}
-
 // ---- EcMsm ----
 
 void EcMsm::push_stream(const AffinePoint* atab, const JacobianPoint* jtab,
@@ -1164,14 +1043,6 @@ void EcMsm::add_base(const U256& k) {
 void EcMsm::add_comb(const FixedBaseTable& table, const U256& k) {
   const U256 kr = sn_reduce(k);
   if (!kr.is_zero()) combs_.emplace_back(&table, kr);
-}
-
-void EcMsm::add_glv(const GlvTable& table, const U256& k) {
-  const U256 kr = sn_reduce(k);
-  if (kr.is_zero() || table.base_.infinity) return;
-  const GlvSplit s = glv_split(kr);
-  push_stream(table.tab_.data(), nullptr, s.k1, 5, s.neg1);
-  push_stream(table.psi_.data(), nullptr, s.k2, 5, s.neg2);
 }
 
 void EcMsm::add_glv(const AffinePoint& p, const U256& k) {

@@ -13,8 +13,9 @@
 // Performance model (DESIGN.md §9): signature verification sits on the
 // flow-setup hot path, so scalar multiplication is precomputation-heavy:
 // both moduli reduce by folding against 2^256 - modulus (no division),
-// variable-base multiplication is width-5 wNAF, fixed bases (G, and any
-// long-lived public key) use a 4-bit windowed comb table that eliminates
+// variable-base multiplication splits the scalar by the GLV endomorphism
+// into half-length width-5 wNAF streams, fixed bases (G, and any
+// registered public key) use a 4-bit windowed comb table that eliminates
 // the doubling chain entirely, and Schnorr's s*G - e*P is one fused
 // double-scalar pass.  The textbook double-and-add survives as
 // `ec_mul_naive`, the oracle the differential tests compare against.
@@ -105,11 +106,6 @@ struct JacobianPoint {
 [[nodiscard]] JacobianPoint ec_add_mixed(const JacobianPoint& p,
                                          const AffinePoint& q) noexcept;
 
-/// Scalar multiplication k * P.  Width-5 wNAF over Jacobian odd multiples;
-/// k is reduced mod n first (sound: the curve group has prime order n, so
-/// k*P == (k mod n)*P for every on-curve P).
-[[nodiscard]] JacobianPoint ec_mul(const U256& k, const AffinePoint& p) noexcept;
-
 /// Textbook MSB-first double-and-add.  Slow; retained as the oracle the
 /// differential tests check the optimized paths against.
 [[nodiscard]] JacobianPoint ec_mul_naive(const U256& k,
@@ -133,7 +129,8 @@ class FixedBaseTable {
 
   explicit FixedBaseTable(const AffinePoint& base);
 
-  /// k * base (k reduced mod n, as in ec_mul).
+  /// k * base (k reduced mod n: the group has prime order n, so
+  /// k*P == (k mod n)*P for every on-curve P).
   [[nodiscard]] JacobianPoint mul(const U256& k) const noexcept;
 
   [[nodiscard]] const AffinePoint& base() const noexcept { return base_; }
@@ -157,12 +154,6 @@ class FixedBaseTable {
   AffinePoint base_;
   std::array<std::array<AffinePoint, kEntries>, kWindows> table_;
 };
-
-/// Fused double-scalar multiplication a*G + b*P in ONE Shamir-interleaved
-/// wNAF pass: a single doubling chain serves both scalars (G's odd
-/// multiples are a shared precomputed affine set; P's are built per call).
-[[nodiscard]] JacobianPoint ec_mul_add(const U256& a, const U256& b,
-                                       const AffinePoint& p) noexcept;
 
 /// a*G + b*P with a precomputed table for P: two comb walks, no doubling
 /// chain at all (at most 128 mixed additions total).
@@ -225,32 +216,6 @@ struct GlvSplit {
 [[nodiscard]] JacobianPoint ec_mul_add_glv(const U256& a, const U256& b,
                                            const AffinePoint& p) noexcept;
 
-/// Warm-tier table: affine odd multiples {1,3,...,15} of P and psi(P),
-/// batch-normalized with ONE field inversion at build.  ~1/60th of a
-/// FixedBaseTable's memory; mul_add_base runs every addition mixed.
-class GlvTable {
- public:
-  static constexpr unsigned kEntries = 8;
-
-  explicit GlvTable(const AffinePoint& base);
-
-  /// a*G + b*base on one half-length chain, all additions mixed.
-  [[nodiscard]] JacobianPoint mul_add_base(const U256& a,
-                                           const U256& b) const noexcept;
-
-  /// k * base (differential-test hook).
-  [[nodiscard]] JacobianPoint mul(const U256& k) const noexcept;
-
-  [[nodiscard]] const AffinePoint& base() const noexcept { return base_; }
-
- private:
-  friend class EcMsm;
-
-  AffinePoint base_;
-  std::array<AffinePoint, kEntries> tab_;
-  std::array<AffinePoint, kEntries> psi_;
-};
-
 /// Multi-scalar multiplication accumulator for batch verification: stage
 /// terms, then result() computes the sum with ONE doubling chain shared by
 /// every wNAF stream (comb-table terms join chain-free at the end).
@@ -262,8 +227,6 @@ class EcMsm {
   void add_base(const U256& k);
   /// += k * table.base() via its comb — chain-free (hot-tier keys).
   void add_comb(const FixedBaseTable& table, const U256& k);
-  /// += k * table.base() via GLV over affine tables (warm-tier keys).
-  void add_glv(const GlvTable& table, const U256& k);
   /// += k * p via GLV over per-call Jacobian tables (cold keys).
   void add_glv(const AffinePoint& p, const U256& k);
   /// += k * p directly — no table build; the right call for short

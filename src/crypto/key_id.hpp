@@ -1,8 +1,8 @@
 #pragma once
 
 // Internal: allocation-free cache identity for a curve point — the raw
-// (x, y) limbs plus a mixing hash.  Shared by the per-key table cache
-// (schnorr.cpp) and the verification memo (verifier.*) so both layers key
+// (x, y) limbs plus a mixing hash.  Shared by the key tier store
+// (key_tier.*) and the verification memo (verifier.*) so both layers key
 // on the same canonical form.
 
 #include <array>
@@ -29,6 +29,16 @@ struct PointIdHash {
     id[i + 4] = p.y.w[i];
   }
   return id;
+}
+
+/// The inverse of point_id (never the identity: it has no PointId).
+[[nodiscard]] inline AffinePoint point_of(const PointId& id) noexcept {
+  AffinePoint p;
+  for (std::size_t i = 0; i < 4; ++i) {
+    p.x.w[i] = id[i];
+    p.y.w[i] = id[i + 4];
+  }
+  return p;
 }
 
 }  // namespace identxx::crypto::detail

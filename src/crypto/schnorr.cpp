@@ -1,17 +1,11 @@
 #include "crypto/schnorr.hpp"
 
 #include <cstring>
-#include <list>
-#include <memory>
-#include <mutex>
 #include <string>
-#include <unordered_map>
-#include <utility>
 
 #include "crypto/ct.hpp"
 #include "crypto/ct_sign.hpp"
 #include "crypto/hmac.hpp"
-#include "crypto/key_id.hpp"
 #include "util/error.hpp"
 #include "util/hex.hpp"
 
@@ -47,90 +41,6 @@ U256 challenge(const AffinePoint& r, const AffinePoint& p,
 
 std::span<const std::uint8_t> as_bytes(std::string_view s) noexcept {
   return {reinterpret_cast<const std::uint8_t*>(s.data()), s.size()};
-}
-
-/// Process-wide LRU of per-key comb tables: public keys are long-lived
-/// (daemon/vendor keys baked into policies), so the second verification
-/// under a key pays the one-time table build and every later one runs
-/// doubling-free.  Bounded so an attacker spraying one-shot keys cannot
-/// grow memory; building only on the second sighting keeps one-shot keys
-/// from paying the build at all.  Keys are the raw (x, y) limbs — a probe
-/// allocates nothing beyond the lock.
-///
-/// Mutex-guarded: sharded admission domains verify on parallel simulator
-/// lanes (DESIGN.md §10).  This lock sits only on the *cold-key* fallback
-/// path — domain verifiers hold their own per-key tables and memo
-/// (SchnorrVerifier, shard-local), so the decision hot path stays
-/// lock-free.
-class KeyTableCache {
- public:
-  static constexpr std::size_t kCapacity = 64;
-
-  /// The table for `point` if it is already built; otherwise counts the
-  /// sighting (building on the second one) and returns null.  Shared
-  /// ownership keeps the table alive for the caller even if a concurrent
-  /// cold-key burst evicts the entry mid-verification.
-  std::shared_ptr<const FixedBaseTable> lookup(const AffinePoint& point) {
-    const std::scoped_lock lock(mutex_);
-    const detail::PointId id = detail::point_id(point);
-    const auto it = index_.find(id);
-    if (it != index_.end()) {
-      order_.splice(order_.begin(), order_, it->second);
-      Entry& entry = *it->second;
-      if (!entry.table) {
-        entry.table = std::make_shared<const FixedBaseTable>(point);
-      }
-      return entry.table;
-    }
-    if (index_.size() >= kCapacity) {
-      index_.erase(order_.back().id);
-      order_.pop_back();
-    }
-    order_.push_front(Entry{id, nullptr});
-    index_[id] = order_.begin();
-    return nullptr;
-  }
-
-  static KeyTableCache& instance() {
-    static KeyTableCache cache;
-    return cache;
-  }
-
- private:
-  struct Entry {
-    detail::PointId id;
-    std::shared_ptr<const FixedBaseTable> table;  ///< null until 2nd sighting
-  };
-  std::mutex mutex_;
-  std::list<Entry> order_;  ///< front = most recently used
-  std::unordered_map<detail::PointId, std::list<Entry>::iterator,
-                     detail::PointIdHash>
-      index_;
-};
-
-/// The shared verification core: s*G == R + e*P rewritten as
-/// s*G + (n-e)*P == R, evaluated in one pass and compared projectively.
-/// Callers have already validated `pub` (on curve, not the identity).
-/// `hot` (comb) is preferred over `warm` (GLV odd-multiples); with neither,
-/// the per-call GLV path is the floor.
-bool verify_core_e(const AffinePoint& pub, const FixedBaseTable* hot,
-                   const GlvTable* warm, const U256& e,
-                   const Signature& sig) noexcept {
-  if (!signature_well_formed(sig)) return false;
-  const U256 e_neg =
-      e.is_zero() ? U256{} : U256::sub(Secp256k1::n(), e).first;
-  const JacobianPoint lhs =
-      hot != nullptr    ? ec_mul_add(sig.s, e_neg, *hot)
-      : warm != nullptr ? warm->mul_add_base(sig.s, e_neg)
-                        : ec_mul_add_glv(sig.s, e_neg, pub);
-  return ec_equals_affine(lhs, sig.r);
-}
-
-bool verify_core(const AffinePoint& pub, const FixedBaseTable* hot,
-                 const GlvTable* warm, std::span<const std::uint8_t> message,
-                 const Signature& sig) noexcept {
-  if (!signature_well_formed(sig)) return false;
-  return verify_core_e(pub, hot, warm, challenge(sig.r, pub, message), sig);
 }
 
 }  // namespace
@@ -233,44 +143,22 @@ bool verify(const PublicKey& key, std::string_view message,
 
 bool verify(const PublicKey& key, std::span<const std::uint8_t> message,
             const Signature& sig) noexcept {
-  if (key.point.infinity || !key.point.on_curve()) return false;
-  // The cache may allocate (node insertion, table build); verify() is
-  // noexcept, so degrade to the tableless pass rather than terminate
-  // under memory pressure.
-  std::shared_ptr<const FixedBaseTable> table;
-  try {
-    table = KeyTableCache::instance().lookup(key.point);
-  } catch (...) {
-    table = nullptr;
-  }
-  return verify_core(key.point, table.get(), nullptr, message, sig);
-}
-
-bool verify(const PrecomputedPublicKey& key, std::string_view message,
-            const Signature& sig) noexcept {
-  return verify(key, as_bytes(message), sig);
-}
-
-bool verify(const PrecomputedPublicKey& key,
-            std::span<const std::uint8_t> message,
-            const Signature& sig) noexcept {
-  const AffinePoint& point = key.key().point;
-  if (point.infinity || !point.on_curve()) return false;
-  return verify_core(point, &key.table(), nullptr, message, sig);
+  return verify_tiered(key, nullptr, challenge(sig.r, key.point, message), sig);
 }
 
 bool verify_tiered(const PublicKey& key, const FixedBaseTable* hot,
-                   const GlvTable* warm, std::span<const std::uint8_t> message,
-                   const Signature& sig) noexcept {
+                   const U256& e, const Signature& sig) noexcept {
   if (key.point.infinity || !key.point.on_curve()) return false;
-  return verify_core(key.point, hot, warm, message, sig);
-}
-
-bool verify_tiered(const PublicKey& key, const FixedBaseTable* hot,
-                   const GlvTable* warm, const U256& e,
-                   const Signature& sig) noexcept {
-  if (key.point.infinity || !key.point.on_curve()) return false;
-  return verify_core_e(key.point, hot, warm, e, sig);
+  if (!signature_well_formed(sig)) return false;
+  // s*G == R + e*P rewritten as s*G + (n-e)*P == R: one pass, compared
+  // projectively.  The comb table makes the pass chain-free; without it
+  // the per-call GLV path runs.
+  const U256 e_neg =
+      e.is_zero() ? U256{} : U256::sub(Secp256k1::n(), e).first;
+  const JacobianPoint lhs =
+      hot != nullptr ? ec_mul_add(sig.s, e_neg, *hot)
+                     : ec_mul_add_glv(sig.s, e_neg, key.point);
+  return ec_equals_affine(lhs, sig.r);
 }
 
 U256 schnorr_challenge(const AffinePoint& r, const AffinePoint& p,

@@ -17,7 +17,6 @@
 //
 // Signatures serialize to 96 bytes (192 hex chars); public keys to 64 bytes.
 
-#include <memory>
 #include <optional>
 #include <span>
 #include <string>
@@ -35,23 +34,6 @@ struct PublicKey {
   [[nodiscard]] std::string to_hex() const;
   [[nodiscard]] static std::optional<PublicKey> from_hex(std::string_view hex);
   [[nodiscard]] bool operator==(const PublicKey&) const noexcept = default;
-};
-
-/// A public key with its fixed-base comb table built eagerly.  Verifying
-/// against it does no doubling chain at all (DESIGN.md §9) — build one per
-/// long-lived key (daemon/vendor keys) at registration time.  Copies share
-/// the table.
-class PrecomputedPublicKey {
- public:
-  explicit PrecomputedPublicKey(const PublicKey& key)
-      : key_(key), table_(std::make_shared<FixedBaseTable>(key.point)) {}
-
-  [[nodiscard]] const PublicKey& key() const noexcept { return key_; }
-  [[nodiscard]] const FixedBaseTable& table() const noexcept { return *table_; }
-
- private:
-  PublicKey key_;
-  std::shared_ptr<const FixedBaseTable> table_;
 };
 
 struct Signature {
@@ -95,41 +77,24 @@ class PrivateKey {
 /// Verify `sig` over `message` with `key`.  Returns false (never throws) on
 /// any mismatch, off-curve point or out-of-range scalar.
 ///
-/// The check s*G == R + e*P runs as one fused pass computing
+/// The check s*G == R + e*P runs as one fused GLV pass computing
 /// s*G + (n-e)*P and comparing against R projectively (no field
-/// inversion).  Keys seen repeatedly are promoted into a small process-wide
-/// table cache, so steady-state verification per long-lived key costs only
-/// comb additions; use PrecomputedPublicKey to build the table explicitly
-/// (and to bypass the shared cache).
+/// inversion).  Stateless: no table is built, cached or shared, so the
+/// call takes no lock and allocates nothing.  Long-lived keys get their
+/// comb tables from SchnorrVerifier::register_key (DESIGN.md §9).
 [[nodiscard]] bool verify(const PublicKey& key, std::string_view message,
                           const Signature& sig) noexcept;
 [[nodiscard]] bool verify(const PublicKey& key,
                           std::span<const std::uint8_t> message,
                           const Signature& sig) noexcept;
-[[nodiscard]] bool verify(const PrecomputedPublicKey& key,
-                          std::string_view message,
-                          const Signature& sig) noexcept;
-[[nodiscard]] bool verify(const PrecomputedPublicKey& key,
-                          std::span<const std::uint8_t> message,
-                          const Signature& sig) noexcept;
 
-/// Tier-aware verify: same check as above, but the caller supplies whatever
-/// acceleration structure it holds for `key` (both may be null).  Preference
-/// order: hot comb table, warm GLV odd-multiples table, per-call GLV.
-/// Bypasses the process-wide table cache — used by SchnorrVerifier, whose
-/// KeyTierStore owns the tables.
-[[nodiscard]] bool verify_tiered(const PublicKey& key,
-                                 const FixedBaseTable* hot,
-                                 const GlvTable* warm,
-                                 std::span<const std::uint8_t> message,
-                                 const Signature& sig) noexcept;
-
-/// Same, with the challenge already computed: callers that need e anyway
-/// (the memo keys on it; batch verification folds z_i * e_i) pass it in so
+/// The same check with the challenge e already computed and, optionally,
+/// the key's comb table: with `hot` the multiplication is two chain-free
+/// comb walks, without it the per-call GLV pass.  SchnorrVerifier calls
+/// this — the memo keys on e and batch verification folds z_i * e_i, so
 /// the message is hashed exactly once per verification.
 [[nodiscard]] bool verify_tiered(const PublicKey& key,
-                                 const FixedBaseTable* hot,
-                                 const GlvTable* warm, const U256& e,
+                                 const FixedBaseTable* hot, const U256& e,
                                  const Signature& sig) noexcept;
 
 /// The Schnorr challenge e = H(Rx || Ry || Px || Py || m) mod n.  Exposed

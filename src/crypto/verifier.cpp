@@ -24,16 +24,6 @@ void hash_u64(Sha256& h, std::uint64_t v) {
   h.update(std::span<const std::uint8_t>(bytes.data(), bytes.size()));
 }
 
-AffinePoint point_from(const detail::PointId& id) noexcept {
-  AffinePoint p;
-  for (std::size_t i = 0; i < 4; ++i) {
-    p.x.w[i] = id[i];
-    p.y.w[i] = id[i + 4];
-  }
-  p.infinity = false;
-  return p;
-}
-
 }  // namespace
 
 /// A batch item that survived memo lookup and structural validation, with
@@ -63,13 +53,6 @@ void SchnorrVerifier::invalidate_key(const PublicKey& key) {
   registered_.erase(id);
   ++generations_[id];  // old memo entries become unreachable
   tiers_.remove(key.point);
-}
-
-void SchnorrVerifier::set_tier_config(const KeyTierConfig& config) {
-  tiers_ = KeyTierStore(config);
-  for (const auto& [id, generation] : registered_) {
-    tiers_.add(point_from(id));
-  }
 }
 
 SchnorrVerifier::MemoKey SchnorrVerifier::memo_key_for(
@@ -151,31 +134,28 @@ bool SchnorrVerifier::verify(const PublicKey& key,
   }
   ++stats_.memo_misses;
 
-  bool ok = false;
+  // Unregistered keys verify cold, like registered keys without a table.
+  std::shared_ptr<const FixedBaseTable> hot;
   if (registered_.contains(id)) {
-    const KeyTierStore::Tables tables = tiers_.use(key.point);
-    if (tables.hot) {
-      ++stats_.table_verifications;
-    } else if (tables.warm) {
-      ++stats_.warm_verifications;
-    } else {
-      ++stats_.cold_verifications;
-    }
-    ok = verify_tiered(key, tables.hot.get(), tables.warm.get(), e, sig);
-  } else {
-    // Unregistered keys keep the process-wide table cache of plain
-    // verify() (repeat keys promote), at the cost of re-hashing.
-    ok = crypto::verify(key, message, sig);
+    hot = tiers_.use(key.point);
+    count_registered(hot != nullptr);
   }
+  const bool ok = verify_tiered(key, hot.get(), e, sig);
 
   memo_store(memo_key, ok);
   return ok;
 }
 
-bool SchnorrVerifier::batch_check(
-    const std::vector<PendingItem>& pending, std::size_t lo, std::size_t hi,
-    const std::unordered_map<detail::PointId, KeyTierStore::Tables,
-                             detail::PointIdHash>& tables) {
+bool SchnorrVerifier::verify_pending(const PendingItem& p,
+                                     const BatchTables& tables) const {
+  const auto t = tables.find(p.id);
+  const FixedBaseTable* hot = t != tables.end() ? t->second.get() : nullptr;
+  return verify_tiered(p.item->key, hot, p.e, p.item->sig);
+}
+
+bool SchnorrVerifier::batch_check(const std::vector<PendingItem>& pending,
+                                  std::size_t lo, std::size_t hi,
+                                  const BatchTables& tables) {
   ++stats_.batch_msms;
 
   // Accept iff (sum z_i s_i) * G == sum z_i R_i + sum (z_i e_i) P_i,
@@ -200,32 +180,25 @@ bool SchnorrVerifier::batch_check(
   for (const auto& [id, scalar] : key_scalars) {
     if (scalar.is_zero()) continue;
     const auto t = tables.find(id);
-    if (t != tables.end() && t->second.hot) {
-      msm.add_comb(*t->second.hot, scalar);
-    } else if (t != tables.end() && t->second.warm) {
-      msm.add_glv(*t->second.warm, scalar);
+    if (t != tables.end() && t->second) {
+      msm.add_comb(*t->second, scalar);
     } else {
-      msm.add_glv(point_from(id), scalar);
+      msm.add_glv(detail::point_of(id), scalar);
     }
   }
   return msm.result().is_identity();
 }
 
-void SchnorrVerifier::batch_resolve(
-    std::vector<bool>& results, const std::vector<PendingItem>& pending,
-    std::size_t lo, std::size_t hi,
-    const std::unordered_map<detail::PointId, KeyTierStore::Tables,
-                             detail::PointIdHash>& tables) {
+void SchnorrVerifier::batch_resolve(std::vector<bool>& results,
+                                    const std::vector<PendingItem>& pending,
+                                    std::size_t lo, std::size_t hi,
+                                    const BatchTables& tables) {
   // Precondition: the RLC check over [lo, hi) failed.
   if (hi - lo == 1) {
     // Ground truth for the culprit candidate: a real single verification,
     // not a z-weighted one.
     const PendingItem& p = pending[lo];
-    const auto t = tables.find(p.id);
-    const FixedBaseTable* hot =
-        t != tables.end() ? t->second.hot.get() : nullptr;
-    const GlvTable* warm = t != tables.end() ? t->second.warm.get() : nullptr;
-    const bool ok = verify_tiered(p.item->key, hot, warm, p.e, p.item->sig);
+    const bool ok = verify_pending(p, tables);
     results[p.index] = ok;
     memo_store(p.memo_key, ok);
     return;
@@ -342,29 +315,19 @@ std::vector<bool> SchnorrVerifier::verify_batch(
   // Snapshot tier tables once for the whole batch (shared_ptrs keep them
   // alive even if touching a later key evicts an earlier one).  Each
   // registered key's use count advances by its batch multiplicity.
-  std::unordered_map<detail::PointId, KeyTierStore::Tables,
-                     detail::PointIdHash>
-      tables;
+  BatchTables tables;
   tables.reserve(multiplicity.size());
   for (const auto& [id, uses] : multiplicity) {
-    tables.emplace(id, tiers_.use(point_from(id), uses));
+    tables.emplace(id, tiers_.use(detail::point_of(id), uses));
   }
 
   if (pending.size() == 1) {
     // No aggregation to be had; take the plain tiered path.
     const PendingItem& p = pending[0];
-    const auto t = tables.find(p.id);
-    const FixedBaseTable* hot =
-        t != tables.end() ? t->second.hot.get() : nullptr;
-    const GlvTable* warm = t != tables.end() ? t->second.warm.get() : nullptr;
-    if (hot) {
-      ++stats_.table_verifications;
-    } else if (warm) {
-      ++stats_.warm_verifications;
-    } else if (t != tables.end()) {
-      ++stats_.cold_verifications;
+    if (const auto t = tables.find(p.id); t != tables.end()) {
+      count_registered(t->second != nullptr);
     }
-    const bool ok = verify_tiered(p.item->key, hot, warm, p.e, p.item->sig);
+    const bool ok = verify_pending(p, tables);
     results[p.index] = ok;
     memo_store(p.memo_key, ok);
     return results;

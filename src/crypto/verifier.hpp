@@ -10,11 +10,11 @@
 // of crypto::verify (DESIGN.md §9, §15):
 //
 //   * a tiered key registry — register_key() tracks a long-lived public key
-//     in a memory-budgeted KeyTierStore.  Hot keys hold a full comb table,
-//     warm keys a small GLV table, cold keys verify through the per-call
-//     GLV path; promotion follows verify frequency, so a shard can track
-//     10^6+ principals while spending table memory only on the keys that
-//     sign every flow;
+//     in a memory-budgeted KeyTierStore, the only owner of per-key
+//     verification state.  Hot keys hold a full comb table, cold keys
+//     verify through the per-call GLV path; promotion follows verify
+//     frequency, so a shard can track 10^6+ principals while spending
+//     table memory only on the keys that sign every flow;
 //   * a bounded LRU memo of (key, challenge, signature) -> bool, so a
 //     byte-identical attestation verifies exactly once per retention
 //     window;
@@ -36,6 +36,7 @@
 #include <array>
 #include <cstdint>
 #include <list>
+#include <memory>
 #include <span>
 #include <string_view>
 #include <unordered_map>
@@ -58,7 +59,6 @@ class SchnorrVerifier {
     std::uint64_t memo_misses = 0;
     std::uint64_t memo_evictions = 0;
     std::uint64_t table_verifications = 0;  ///< served via a hot comb table
-    std::uint64_t warm_verifications = 0;   ///< served via a warm GLV table
     std::uint64_t cold_verifications = 0;   ///< registered but tableless
     std::uint64_t batch_calls = 0;          ///< verify_batch() invocations
     std::uint64_t batch_items = 0;          ///< items settled by an RLC check
@@ -86,10 +86,6 @@ class SchnorrVerifier {
   /// Drop `key`'s tables and make its memoized verdicts unreachable (key
   /// change / revocation).  A later register_key starts a new generation.
   void invalidate_key(const PublicKey& key);
-
-  /// Replace the tier budget/thresholds.  Existing registered keys are
-  /// re-seeded into a fresh store (tables rebuild on demand).
-  void set_tier_config(const KeyTierConfig& config);
 
   [[nodiscard]] bool verify(const PublicKey& key, std::string_view message,
                             const Signature& sig);
@@ -148,6 +144,12 @@ class SchnorrVerifier {
 
   /// A batch item that survived memo lookup and structural checks.
   struct PendingItem;
+  /// Comb tables of the registered keys in one batch (snapshot; null =
+  /// cold).  Keys absent from the map are unregistered.
+  using BatchTables =
+      std::unordered_map<detail::PointId,
+                         std::shared_ptr<const FixedBaseTable>,
+                         detail::PointIdHash>;
 
   [[nodiscard]] MemoKey memo_key_for(const detail::PointId& id,
                                      const Signature& sig,
@@ -158,15 +160,18 @@ class SchnorrVerifier {
   void memo_store_range(const std::vector<PendingItem>& pending,
                         std::size_t a, std::size_t b, bool ok);
   /// RLC check over pending[lo, hi): one MSM, true iff the aggregate holds.
-  [[nodiscard]] bool batch_check(
-      const std::vector<PendingItem>& pending, std::size_t lo, std::size_t hi,
-      const std::unordered_map<detail::PointId, KeyTierStore::Tables,
-                               detail::PointIdHash>& tables);
-  void batch_resolve(
-      std::vector<bool>& results, const std::vector<PendingItem>& pending,
-      std::size_t lo, std::size_t hi,
-      const std::unordered_map<detail::PointId, KeyTierStore::Tables,
-                               detail::PointIdHash>& tables);
+  [[nodiscard]] bool batch_check(const std::vector<PendingItem>& pending,
+                                 std::size_t lo, std::size_t hi,
+                                 const BatchTables& tables);
+  void batch_resolve(std::vector<bool>& results,
+                     const std::vector<PendingItem>& pending, std::size_t lo,
+                     std::size_t hi, const BatchTables& tables);
+  void count_registered(bool hot) noexcept {
+    ++(hot ? stats_.table_verifications : stats_.cold_verifications);
+  }
+  /// Ground-truth single verification of a pending item.
+  [[nodiscard]] bool verify_pending(const PendingItem& p,
+                                    const BatchTables& tables) const;
 
   std::size_t memo_capacity_;
   Order order_;  ///< front = most recently used

@@ -141,8 +141,8 @@ TEST(PipelineComposition, FakeStagesDriveAdmission) {
 
 // ---------------------------------------------------------------- caches
 
-TEST(TtlDecisionCacheTest, ExpiryAndHitAccounting) {
-  ctrl::TtlDecisionCache cache(100);  // 100 ns TTL
+TEST(LruDecisionCacheTest, UnboundedTtlExpiryAndHitAccounting) {
+  ctrl::LruDecisionCache cache(0, 100);  // unbounded, 100 ns TTL
   const net::FiveTuple flow = make_flow(1, 2, 80);
   ctrl::AdmissionDecision decision;
   decision.allowed = true;
@@ -162,12 +162,12 @@ TEST(TtlDecisionCacheTest, ExpiryAndHitAccounting) {
   EXPECT_EQ(cache.stats().expirations, 1u);
 }
 
-TEST(TtlDecisionCacheTest, ZeroTtlMeansNeverExpire) {
+TEST(LruDecisionCacheTest, UnboundedZeroTtlMeansNeverExpire) {
   // ttl = 0 used to stamp entries with expires == now, so every lookup
   // expired them instantly — a silent bypass that still counted
-  // insertions.  The contract (matching LruDecisionCache) is: 0 = entries
-  // never age out; only invalidation removes them.
-  ctrl::TtlDecisionCache cache(0);
+  // insertions.  The contract is: 0 = entries never age out; without a
+  // capacity, only invalidation removes them.
+  ctrl::LruDecisionCache cache(0, 0);
   const net::FiveTuple flow = make_flow(1, 2, 80);
   ctrl::AdmissionDecision decision;
   decision.allowed = true;

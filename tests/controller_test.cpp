@@ -373,6 +373,74 @@ TEST(QueryInterception, ControllerAnswersOnBehalfOfHost) {
   EXPECT_GE(controller.stats().queries_proxied, 1u);
 }
 
+// ---------------------------------------------------------------- dedupe
+
+TEST(ResponseDedupe, ChannelDuplicateDedupedPastEightThousandResponses) {
+  // The consumed-response memo retires entries as they leave the window.
+  // With more than 8192 responses consumed inside one window, a channel
+  // copy of the first must still be swallowed as a duplicate, and the
+  // same bytes arriving once the window has passed must transit.
+  constexpr sim::SimTime kWindow = 1 * sim::kSecond;  // controller's window
+  constexpr int kFlows = 4200;                          // two responses each
+
+  struct ResponseRecorder : ctrl::AdmissionObserver {
+    sim::Simulator* simulator = nullptr;
+    std::optional<openflow::PacketIn> first;
+    sim::SimTime first_at = 0;
+    sim::SimTime last_at = 0;
+    std::size_t responses = 0;
+    void on_packet_in(const openflow::PacketIn& msg) override {
+      const auto& tcp = msg.packet.tcp;
+      if (!tcp || tcp->src_port != proto::kIdentPort) return;
+      if (!first) {
+        first = msg;
+        first_at = simulator->now();
+      }
+      last_at = simulator->now();
+      ++responses;
+    }
+  };
+
+  Network net;
+  const auto s1 = net.add_switch("s1");
+  auto& client = net.add_host("client", "10.0.0.1");
+  auto& server = net.add_host("server", "10.0.0.2");
+  net.link(client, s1);
+  net.link(server, s1);
+  auto& controller = net.install_controller("pass all\n");
+  auto recorder = std::make_unique<ResponseRecorder>();
+  recorder->simulator = &net.simulator();
+  ResponseRecorder& seen = *recorder;
+  controller.add_observer(std::move(recorder));
+
+  client.add_user("u", "users");
+  const int pid = client.launch("u", "/bin/x");
+  for (int i = 0; i < kFlows; ++i) {
+    (void)net.start_flow(client, pid, "10.0.0.2", 80);
+  }
+  net.run();
+  ASSERT_TRUE(seen.first.has_value());
+  ASSERT_GT(seen.responses, 8192u);
+  ASSERT_LT(seen.last_at - seen.first_at, kWindow / 2);
+  EXPECT_EQ(controller.stats().flows_allowed, static_cast<std::uint64_t>(kFlows));
+
+  const auto duplicates = controller.stats().duplicate_responses;
+  const auto transits = controller.stats().ident_transit_forwarded;
+  net.simulator().schedule_at(seen.first_at + kWindow / 2, [&] {
+    controller.on_packet_in(*seen.first);
+  });
+  net.run();
+  EXPECT_EQ(controller.stats().duplicate_responses, duplicates + 1);
+  EXPECT_EQ(controller.stats().ident_transit_forwarded, transits);
+
+  net.simulator().schedule_at(seen.first_at + kWindow, [&] {
+    controller.on_packet_in(*seen.first);
+  });
+  net.run();
+  EXPECT_EQ(controller.stats().duplicate_responses, duplicates + 1);
+  EXPECT_EQ(controller.stats().ident_transit_forwarded, transits + 1);
+}
+
 // ---------------------------------------------------------------- misc
 
 TEST(NetworkFacade, HostLookupAndValidation) {
