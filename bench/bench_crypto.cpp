@@ -6,6 +6,7 @@
 // The verification paths (DESIGN.md §9, §15): BM_SchnorrVerify (stateless
 // per-call GLV — the cold-key floor), BM_SchnorrVerifyTierSweep (registered
 // keys cold vs hot, i.e. per-call GLV vs per-key comb table),
+// BM_FixedBaseTableBuild (what a key's hot comb table costs to build),
 // BM_SchnorrBatchVerify (one multi-scalar pass per batch),
 // BM_SchnorrVerifierMemoHit (the controller-layer verification memo), and
 // BM_ScalarReduce* (folding reduction mod n vs binary long division).
@@ -123,9 +124,9 @@ BENCHMARK(BM_SchnorrVerify);
 /// time/N against BM_SchnorrVerifyTierSweep/1 (hot) for the per-item
 /// speedup.
 /// The pool keys register eager-hot (default tier budget) — a decide_many
-/// burst comes from registered daemons, so their key terms ride the
-/// chain-free comb walk and only the 64-bit R-term streams set the shared
-/// doubling-chain length.  A memo of capacity 1 keeps every iteration's
+/// burst comes from registered daemons, so their key terms add comb
+/// columns on the shared chain's last 8 steps and only the 64-bit R-term
+/// streams set its length.  A memo of capacity 1 keeps every iteration's
 /// lookups missing.
 void BM_SchnorrBatchVerify(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
@@ -195,6 +196,18 @@ void BM_SchnorrVerifyTierSweep(benchmark::State& state) {
       static_cast<double>(verifier.tiers().table_bytes()) / (1024.0 * 1024.0);
 }
 BENCHMARK(BM_SchnorrVerifyTierSweep)->Arg(0)->Arg(1);
+
+/// One key's comb table build (DESIGN.md §9): what register_key pays for
+/// each key that fits the hot budget, e.g. the vendor key of the attest
+/// workload's set-up.
+void BM_FixedBaseTableBuild(benchmark::State& state) {
+  const crypto::PublicKey key =
+      crypto::PrivateKey::from_seed("table").public_key();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(crypto::FixedBaseTable(key.point));
+  }
+}
+BENCHMARK(BM_FixedBaseTableBuild);
 
 /// The controller-layer verification memo: byte-identical attestations
 /// (retransmissions, one app's flows in a batch) cost a hash + LRU probe.

@@ -525,7 +525,7 @@ PolicyDecisionEngine::PolicyDecisionEngine(pf::Ruleset ruleset,
   // Public keys embedded in the policy (dict values, e.g. @pubkeys[...])
   // are long-lived — register each with the verifier now so its comb table
   // is built once, here, instead of lazily on the flow-setup hot path.
-  // Registration costs ~1000 EC ops and ~69 KB per key, so only policies
+  // Registration costs ~1250 EC ops and ~73 KB per key, so only policies
   // that can actually verify signatures (a verify() predicate, or
   // allowed() whose delegated rules may call verify) pay it; anything
   // else registers nothing.

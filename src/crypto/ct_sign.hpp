@@ -17,8 +17,8 @@
 //      masked conditional subtraction, never `/` or `%`.
 //
 // The nonce chain deliberately avoids the wNAF machinery of ec.cpp (digit
-// recoding branches on scalar bits) and runs a fixed-window comb over the
-// public generator table with *complete* projective addition
+// recoding branches on scalar bits) and runs a fixed-window comb over its
+// own public 4-bit generator table with *complete* projective addition
 // (Renes–Costello–Batina 2016, Algorithm 7 for a = 0): one formula for
 // add, double and identity, so zero digits and coincidences need no
 // branches at all.  Verification keeps every variable-time fast path —
@@ -28,9 +28,11 @@
 // (~334 fp mul) — bench_crypto's BM_SchnorrSignCt tracks the ratio to the
 // variable-time reference (acceptance bar: <= 3x).
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <span>
+#include <vector>
 
 #include "crypto/ct.hpp"
 #include "crypto/ec.hpp"
@@ -477,23 +479,72 @@ template <class L>
   return CtPoint<L>{x3, y3, z3};
 }
 
-/// k * G by a fixed-window comb over the shared public generator table:
-/// 64 windows of 4 bits, each selected by scanning ALL 15 entries with
-/// ct_eq_mask (no secret-indexed load), a zero digit selecting the
-/// identity, every window folded in with complete addition.  Exactly 64
-/// point additions and zero doublings for every scalar — the shape of the
-/// computation carries no information about k.
+/// The constant-time comb's own public generator table: entry(i, j-1) =
+/// j * 16^i * G in affine coordinates (64 windows x 15 entries, ~69 KB),
+/// built once per process.  The comb scans every entry of a window, so it
+/// keeps this narrow 4-bit layout: a scan over one 255-entry block of
+/// verification's Lim–Lee FixedBaseTable (ec.hpp) would cost 17x more.
+class GeneratorCombTable {
+ public:
+  static constexpr unsigned kWindowBits = 4;
+  static constexpr unsigned kWindows = 256 / kWindowBits;
+  static constexpr unsigned kEntries = (1u << kWindowBits) - 1;
+
+  /// Raw table entry (idx+1) * 16^window * G.  The comb only ever asks
+  /// with public loop indices and mask-selects among the results.
+  [[nodiscard]] const AffinePoint& entry(unsigned window,
+                                         unsigned idx) const noexcept {
+    return table_[window][idx];
+  }
+
+  [[nodiscard]] static const GeneratorCombTable& instance() {
+    static const GeneratorCombTable table;
+    return table;
+  }
+
+ private:
+  GeneratorCombTable() {
+    // Row i holds {1, 2, ..., 15} * (16^i * G) in Jacobian form; one
+    // batch normalization turns all 960 points affine with a single
+    // inversion.
+    std::vector<JacobianPoint> jac(kWindows * kEntries);
+    JacobianPoint window_base =
+        JacobianPoint::from_affine(AffinePoint::generator());
+    for (unsigned i = 0; i < kWindows; ++i) {
+      JacobianPoint cur = window_base;
+      for (unsigned j = 0; j < kEntries; ++j) {
+        jac[i * kEntries + j] = cur;
+        cur = ec_add(cur, window_base);
+      }
+      window_base = cur;  // 16^(i+1) * G
+    }
+    std::vector<AffinePoint> affine(jac.size());
+    batch_normalize(jac.data(), affine.data(), jac.size());
+    for (unsigned i = 0; i < kWindows; ++i) {
+      std::copy_n(&affine[i * kEntries], kEntries, table_[i].begin());
+    }
+  }
+
+  std::array<std::array<AffinePoint, kEntries>, kWindows> table_;
+};
+
+/// k * G by a fixed-window comb over GeneratorCombTable: 64 windows of 4
+/// bits, each selected by scanning ALL 15 entries with ct_eq_mask (no
+/// secret-indexed load), a zero digit selecting the identity, every
+/// window folded in with complete addition.  Exactly 64 point additions
+/// and zero doublings for every scalar — the shape of the computation
+/// carries no information about k.
 // ct-lint: certified secret(k)
 template <class L>
 [[nodiscard]] inline CtPoint<L> ec_mul_base_comb_ct(const u256t<L>& k) noexcept {
-  const FixedBaseTable& table = FixedBaseTable::generator();
+  using Table = GeneratorCombTable;
+  const Table& table = Table::instance();
   CtPoint<L> acc = CtPoint<L>::identity();
-  for (unsigned i = 0; i < FixedBaseTable::kWindows; ++i) {
-    const L digit =
-        (k[i / 16] >> ((i % 16) * FixedBaseTable::kWindowBits)) & L(0xf);
+  for (unsigned i = 0; i < Table::kWindows; ++i) {
+    const L digit = (k[i / 16] >> ((i % 16) * Table::kWindowBits)) & L(0xf);
     u256t<L> sx = zero4<L>();
     u256t<L> sy = zero4<L>();
-    for (unsigned j = 1; j <= FixedBaseTable::kEntries; ++j) {
+    for (unsigned j = 1; j <= Table::kEntries; ++j) {
       const AffinePoint& e = table.entry(i, j - 1);
       const L m = ct_eq_mask(digit, L(static_cast<std::uint64_t>(j)));
       for (std::size_t w = 0; w < 4; ++w) {

@@ -163,30 +163,6 @@ std::array<JacobianPoint, 8> odd_multiples(const AffinePoint& p) noexcept {
   return tab;
 }
 
-/// Normalize `points` to affine with ONE field inversion (Montgomery's
-/// trick); identities map to the affine identity.
-void batch_normalize(const JacobianPoint* points, AffinePoint* out,
-                     std::size_t count) {
-  std::vector<U256> prefix(count);
-  U256 running{1};
-  for (std::size_t i = 0; i < count; ++i) {
-    prefix[i] = running;
-    if (!points[i].is_identity()) running = fp_mul(running, points[i].z);
-  }
-  U256 inv = running.is_zero() ? U256{} : fp_inv(running);
-  for (std::size_t i = count; i-- > 0;) {
-    if (points[i].is_identity()) {
-      out[i] = AffinePoint::identity();
-      continue;
-    }
-    const U256 z_inv = fp_mul(inv, prefix[i]);
-    inv = fp_mul(inv, points[i].z);
-    const U256 z_inv2 = fp_sqr(z_inv);
-    out[i] = AffinePoint{fp_mul(points[i].x, z_inv2),
-                         fp_mul(points[i].y, fp_mul(z_inv2, z_inv)), false};
-  }
-}
-
 /// add-2007-bl, additionally reporting the Z-ratio: Z3 == Z1 * zr.  Used
 /// to build common-Z tables without inversions.  Preconditions: neither
 /// operand is the identity and p != +-q (guaranteed when chaining odd
@@ -372,11 +348,18 @@ struct DigitStreamJ {
   unsigned len;
 };
 
+/// A comb-table term k * table.base(), k reduced mod n.
+using CombTerm = std::pair<const FixedBaseTable*, U256>;
+
 /// The shared Strauss walk: ONE doubling chain as long as the longest
 /// stream, every stream contributing its digit additions along the way.
-JacobianPoint wnaf_walk(const DigitStreamA* as, std::size_t na,
-                        const DigitStreamJ* js, std::size_t nj) noexcept {
-  unsigned len = 0;
+/// Comb terms add their column-j digits at step j, so any comb term
+/// stretches the chain to at least kColumns steps.
+JacobianPoint strauss_walk(const DigitStreamA* as, std::size_t na,
+                           const DigitStreamJ* js, std::size_t nj,
+                           const CombTerm* cs = nullptr,
+                           std::size_t nc = 0) noexcept {
+  unsigned len = nc != 0 ? FixedBaseTable::kColumns : 0;
   for (std::size_t s = 0; s < na; ++s) len = std::max(len, as[s].len);
   for (std::size_t s = 0; s < nj; ++s) len = std::max(len, js[s].len);
   JacobianPoint acc = JacobianPoint::identity();
@@ -402,6 +385,12 @@ JacobianPoint wnaf_walk(const DigitStreamA* as, std::size_t na,
       } else if (d < 0) {
         acc = ec_add(acc,
                      ec_negate(js[s].tab[static_cast<std::size_t>((-d - 1) / 2)]));
+      }
+    }
+    if (idx < FixedBaseTable::kColumns) {
+      for (std::size_t c = 0; c < nc; ++c) {
+        acc = cs[c].first->add_column(acc, cs[c].second,
+                                      static_cast<unsigned>(idx));
       }
     }
   }
@@ -846,38 +835,84 @@ JacobianPoint ec_mul_naive(const U256& k, const AffinePoint& p) noexcept {
   return acc;
 }
 
-FixedBaseTable::FixedBaseTable(const AffinePoint& base) : base_(base) {
-  // Row i holds {1, 2, ..., 15} * (16^i * base) in Jacobian form; one
-  // batch normalization turns all 960 points affine with a single
-  // inversion.
-  std::vector<JacobianPoint> jac(kWindows * kEntries);
-  JacobianPoint window_base = JacobianPoint::from_affine(base);
-  for (unsigned i = 0; i < kWindows; ++i) {
-    JacobianPoint cur = window_base;
-    for (unsigned j = 0; j < kEntries; ++j) {
-      jac[i * kEntries + j] = cur;
-      cur = ec_add(cur, window_base);
-    }
-    window_base = cur;  // 16^(i+1) * base
+void batch_normalize(const JacobianPoint* points, AffinePoint* out,
+                     std::size_t count) {
+  std::vector<U256> prefix(count);
+  U256 running{1};
+  for (std::size_t i = 0; i < count; ++i) {
+    prefix[i] = running;
+    if (!points[i].is_identity()) running = fp_mul(running, points[i].z);
   }
-  std::vector<AffinePoint> affine(jac.size());
-  batch_normalize(jac.data(), affine.data(), jac.size());
-  for (unsigned i = 0; i < kWindows; ++i) {
-    for (unsigned j = 0; j < kEntries; ++j) {
-      table_[i][j] = affine[i * kEntries + j];
+  U256 inv = running.is_zero() ? U256{} : fp_inv(running);
+  for (std::size_t i = count; i-- > 0;) {
+    if (points[i].is_identity()) {
+      out[i] = AffinePoint::identity();
+      continue;
     }
+    const U256 z_inv = fp_mul(inv, prefix[i]);
+    inv = fp_mul(inv, points[i].z);
+    const U256 z_inv2 = fp_sqr(z_inv);
+    out[i] = AffinePoint{fp_mul(points[i].x, z_inv2),
+                         fp_mul(points[i].y, fp_mul(z_inv2, z_inv)), false};
   }
 }
 
-JacobianPoint FixedBaseTable::mul(const U256& k) const noexcept {
-  const U256 kr = sn_reduce(k);
-  JacobianPoint acc = JacobianPoint::identity();
-  for (unsigned i = 0; i < kWindows; ++i) {
-    const unsigned window =
-        static_cast<unsigned>(kr.w[i / 16] >> ((i % 16) * kWindowBits)) & 0xfu;
-    if (window != 0) acc = ec_add_mixed(acc, table_[i][window - 1]);
+FixedBaseTable::FixedBaseTable(const AffinePoint& base) : base_(base) {
+  // The 32 teeth 2^(8t) * base, t = 4r + s for tooth r of block s: one
+  // 248-doubling chain (consecutive teeth are kColumns bits apart),
+  // normalized with one inversion so that every subset-sum addition below
+  // is mixed.
+  constexpr unsigned kTeethTotal = kTeeth * kBlocks;
+  std::array<JacobianPoint, kTeethTotal> teeth_jac{};
+  teeth_jac[0] = JacobianPoint::from_affine(base);
+  for (unsigned t = 1; t < kTeethTotal; ++t) {
+    teeth_jac[t] = teeth_jac[t - 1];
+    for (unsigned c = 0; c < kColumns; ++c) {
+      teeth_jac[t] = ec_double(teeth_jac[t]);
+    }
+  }
+  std::array<AffinePoint, kTeethTotal> teeth{};
+  batch_normalize(teeth_jac.data(), teeth.data(), kTeethTotal);
+  // Entry m of block s extends entry (m minus its top bit) by that bit's
+  // tooth; single-bit entries are the teeth themselves.  One batch
+  // normalization turns all 1020 entries affine.
+  std::vector<JacobianPoint> jac(kBlocks * kBlockEntries);
+  for (unsigned s = 0; s < kBlocks; ++s) {
+    JacobianPoint* block = &jac[s * kBlockEntries];
+    for (unsigned m = 1; m <= kBlockEntries; ++m) {
+      const unsigned top = static_cast<unsigned>(std::bit_width(m)) - 1;
+      const unsigned rest = m ^ (1u << top);
+      const AffinePoint& tooth = teeth[kBlocks * top + s];
+      block[m - 1] = rest == 0 ? JacobianPoint::from_affine(tooth)
+                               : ec_add_mixed(block[rest - 1], tooth);
+    }
+  }
+  std::vector<AffinePoint> affine(jac.size());
+  batch_normalize(jac.data(), affine.data(), jac.size());
+  for (unsigned s = 0; s < kBlocks; ++s) {
+    std::copy_n(&affine[s * kBlockEntries], kBlockEntries, table_[s].begin());
+  }
+}
+
+JacobianPoint FixedBaseTable::add_column(JacobianPoint acc, const U256& k,
+                                         unsigned j) const noexcept {
+  for (unsigned s = 0; s < kBlocks; ++s) {
+    // Tooth r of block s in column j is bit 32r + 8s + j: limb r / 2, at
+    // offset 32 * (r % 2) + 8s + j.
+    const unsigned shift = kColumns * s + j;
+    unsigned d = 0;
+    for (unsigned r = 0; r < kTeeth; ++r) {
+      d |= static_cast<unsigned>((k.w[r / 2] >> (32 * (r % 2) + shift)) & 1u)
+           << r;
+    }
+    if (d != 0) acc = ec_add_mixed(acc, table_[s][d - 1]);
   }
   return acc;
+}
+
+JacobianPoint FixedBaseTable::mul(const U256& k) const noexcept {
+  const CombTerm term{this, sn_reduce(k)};
+  return strauss_walk(nullptr, 0, nullptr, 0, &term, 1);
 }
 
 const FixedBaseTable& FixedBaseTable::generator() {
@@ -891,20 +926,10 @@ JacobianPoint ec_mul_base(const U256& k) noexcept {
 
 JacobianPoint ec_mul_add(const U256& a, const U256& b,
                          const FixedBaseTable& p_table) noexcept {
-  // No doubling chain: both bases are comb tables, so the whole sum is a
-  // sequence of mixed additions into one accumulator.
-  const U256 ar = sn_reduce(a);
-  const U256 br = sn_reduce(b);
-  JacobianPoint acc = JacobianPoint::identity();
-  const FixedBaseTable& g_table = FixedBaseTable::generator();
-  for (unsigned i = 0; i < FixedBaseTable::kWindows; ++i) {
-    const unsigned shift = (i % 16) * FixedBaseTable::kWindowBits;
-    const unsigned wa = static_cast<unsigned>(ar.w[i / 16] >> shift) & 0xfu;
-    const unsigned wb = static_cast<unsigned>(br.w[i / 16] >> shift) & 0xfu;
-    if (wa != 0) acc = ec_add_mixed(acc, g_table.table_[i][wa - 1]);
-    if (wb != 0) acc = ec_add_mixed(acc, p_table.table_[i][wb - 1]);
-  }
-  return acc;
+  // Both bases are comb tables: their columns share one 7-doubling chain.
+  const CombTerm terms[2] = {{&FixedBaseTable::generator(), sn_reduce(a)},
+                             {&p_table, sn_reduce(b)}};
+  return strauss_walk(nullptr, 0, nullptr, 0, terms, 2);
 }
 
 bool ec_equals_affine(const JacobianPoint& p, const AffinePoint& q) noexcept {
@@ -980,7 +1005,7 @@ JacobianPoint ec_mul_glv(const U256& k, const AffinePoint& p) noexcept {
   if (s.neg2) negate_digits(d2, l2);
   const DigitStreamA as[2] = {{ptab.data(), &d1, l1},
                               {psitab.data(), &d2, l2}};
-  JacobianPoint acc = wnaf_walk(as, 2, nullptr, 0);
+  JacobianPoint acc = strauss_walk(as, 2, nullptr, 0);
   acc.z = fp_mul(acc.z, zc);  // leave the iso-curve (identity: z stays 0)
   return acc;
 }
@@ -1019,7 +1044,7 @@ JacobianPoint ec_mul_add_glv(const U256& a, const U256& b,
                               {gt.psi.data(), &da2, la2, &zc2, &zc3},
                               {ptab.data(), &db1, lb1},
                               {psitab.data(), &db2, lb2}};
-  JacobianPoint acc = wnaf_walk(as, 4, nullptr, 0);
+  JacobianPoint acc = strauss_walk(as, 4, nullptr, 0);
   acc.z = fp_mul(acc.z, zc);  // leave the iso-curve (identity: z stays 0)
   return acc;
 }
@@ -1103,25 +1128,13 @@ JacobianPoint EcMsm::result() const {
   for (const Stream& s : short_streams) {
     as.push_back(DigitStreamA{s.atab, &s.d, s.len});
   }
-  JacobianPoint acc = wnaf_walk(as.data(), as.size(), js.data(), js.size());
-  acc = ec_add(acc, short_sum);
-
-  // Comb-table terms contribute pure mixed additions — appended after the
-  // chain, where they cost nothing extra in doublings.
-  const auto comb_walk = [&acc](const FixedBaseTable& t, const U256& kr) {
-    for (unsigned i = 0; i < FixedBaseTable::kWindows; ++i) {
-      const unsigned window =
-          static_cast<unsigned>(kr.w[i / 16] >>
-                                ((i % 16) * FixedBaseTable::kWindowBits)) &
-          0xfu;
-      if (window != 0) acc = ec_add_mixed(acc, t.table_[i][window - 1]);
-    }
-  };
-  for (const auto& [table, scalar] : combs_) comb_walk(*table, scalar);
+  std::vector<CombTerm> combs = combs_;
   if (!base_scalar_.is_zero()) {
-    comb_walk(FixedBaseTable::generator(), base_scalar_);
+    combs.emplace_back(&FixedBaseTable::generator(), base_scalar_);
   }
-  return acc;
+  return ec_add(strauss_walk(as.data(), as.size(), js.data(), js.size(),
+                             combs.data(), combs.size()),
+                short_sum);
 }
 
 }  // namespace identxx::crypto

@@ -15,12 +15,14 @@
 // both moduli reduce by folding against 2^256 - modulus (no division),
 // variable-base multiplication splits the scalar by the GLV endomorphism
 // into half-length width-5 wNAF streams, fixed bases (G, and any
-// registered public key) use a 4-bit windowed comb table that eliminates
-// the doubling chain entirely, and Schnorr's s*G - e*P is one fused
-// double-scalar pass.  The textbook double-and-add survives as
-// `ec_mul_naive`, the oracle the differential tests compare against.
+// registered public key) use a Lim–Lee comb table that cuts the doubling
+// chain to 7 steps, and Schnorr's s*G - e*P is one fused double-scalar
+// pass over both combs on that one chain.  The textbook double-and-add
+// survives as `ec_mul_naive`, the oracle the differential tests compare
+// against.
 
 #include <array>
+#include <cstddef>
 #include <deque>
 #include <optional>
 #include <utility>
@@ -114,18 +116,30 @@ struct JacobianPoint {
 /// k * G via the shared fixed-base generator table.
 [[nodiscard]] JacobianPoint ec_mul_base(const U256& k) noexcept;
 
-/// Windowed fixed-base table for one point: table[i][j-1] = j * 16^i * P
-/// in affine coordinates (64 windows x 15 entries, ~69 KB).  Build cost is
-/// ~1000 point operations plus ONE field inversion (Montgomery batch
-/// normalization), amortized across every later multiplication: a mul is
-/// then at most 64 mixed additions and zero doublings.  Intended for
-/// long-lived bases — G itself (`generator()`, built once per process) and
-/// registered daemon public keys (built at key registration).
+/// Normalize `points` to affine with ONE field inversion (Montgomery's
+/// trick); identities map to the affine identity.
+void batch_normalize(const JacobianPoint* points, AffinePoint* out,
+                     std::size_t count);
+
+/// Lim–Lee comb table for one point (DESIGN.md §9).  A scalar's 256 bits
+/// are read as 8 teeth x 4 blocks x 8 columns: bit 32r + 8s + j is tooth r
+/// of block s in column j.  Block s holds every subset sum of its teeth,
+///   table[s][m-1] = sum over set bits r of m of 2^(32r + 8s) * P,
+/// for m = 1..255, in affine coordinates (4 x 255 entries, ~73 KB), so
+///   k*P = sum_{j=7..0} 2^j * sum_s table[s][d(k, s, j) - 1]
+/// where the digit d(k, s, j) gathers k's eight column-j bits of block s.
+/// A mul is then 7 doublings and at most 32 mixed additions.  Build cost
+/// is 248 doublings, 988 mixed additions and two field inversions (one
+/// for the 32 teeth, one for the 1020 entries), amortized across every
+/// later multiplication.  Intended for long-lived bases — G itself
+/// (`generator()`, built once per process) and registered daemon public
+/// keys (built at key registration).
 class FixedBaseTable {
  public:
-  static constexpr unsigned kWindowBits = 4;
-  static constexpr unsigned kWindows = 256 / kWindowBits;
-  static constexpr unsigned kEntries = (1u << kWindowBits) - 1;
+  static constexpr unsigned kTeeth = 8;
+  static constexpr unsigned kBlocks = 4;
+  static constexpr unsigned kColumns = 256 / (kTeeth * kBlocks);
+  static constexpr unsigned kBlockEntries = (1u << kTeeth) - 1;
 
   explicit FixedBaseTable(const AffinePoint& base);
 
@@ -133,30 +147,25 @@ class FixedBaseTable {
   /// k*P == (k mod n)*P for every on-curve P).
   [[nodiscard]] JacobianPoint mul(const U256& k) const noexcept;
 
-  [[nodiscard]] const AffinePoint& base() const noexcept { return base_; }
+  /// acc + sum_s table[s][d(k, s, j) - 1]: column j of k's comb, the
+  /// additions a shared doubling chain makes at step j (after which j
+  /// doublings remain).  Any 256-bit k works; mul() and the walks built on
+  /// this reduce k mod n first.
+  [[nodiscard]] JacobianPoint add_column(JacobianPoint acc, const U256& k,
+                                         unsigned j) const noexcept;
 
-  /// Raw table entry (j+1) * 16^window * base.  The constant-time comb
-  /// (ct_sign.hpp) scans every entry of a window and mask-selects, so it
-  /// needs direct affine access rather than mul()'s wNAF-style walk.
-  [[nodiscard]] const AffinePoint& entry(unsigned window,
-                                         unsigned idx) const noexcept {
-    return table_[window][idx];
-  }
+  [[nodiscard]] const AffinePoint& base() const noexcept { return base_; }
 
   /// The process-wide table for G.
   [[nodiscard]] static const FixedBaseTable& generator();
 
  private:
-  friend JacobianPoint ec_mul_add(const U256& a, const U256& b,
-                                  const FixedBaseTable& p_table) noexcept;
-  friend class EcMsm;
-
   AffinePoint base_;
-  std::array<std::array<AffinePoint, kEntries>, kWindows> table_;
+  std::array<std::array<AffinePoint, kBlockEntries>, kBlocks> table_;
 };
 
-/// a*G + b*P with a precomputed table for P: two comb walks, no doubling
-/// chain at all (at most 128 mixed additions total).
+/// a*G + b*P with a precomputed table for P: both combs walk one shared
+/// 7-doubling chain (at most 64 mixed additions total).
 [[nodiscard]] JacobianPoint ec_mul_add(const U256& a, const U256& b,
                                        const FixedBaseTable& p_table) noexcept;
 
@@ -218,14 +227,16 @@ struct GlvSplit {
 
 /// Multi-scalar multiplication accumulator for batch verification: stage
 /// terms, then result() computes the sum with ONE doubling chain shared by
-/// every wNAF stream (comb-table terms join chain-free at the end).
+/// every wNAF stream.  Comb-table and base terms add their column-j digits
+/// at step j of that chain, so they cost no doublings of their own (the
+/// chain runs at least kColumns steps when any are staged).
 ///
 ///   Sum = base*G + sum(comb terms) + sum(glv terms) + sum(naf terms)
 class EcMsm {
  public:
-  /// += k * G (aggregated; one generator comb walk at result()).
+  /// += k * G (aggregated into one generator comb term).
   void add_base(const U256& k);
-  /// += k * table.base() via its comb — chain-free (hot-tier keys).
+  /// += k * table.base() via its comb (hot-tier keys).
   void add_comb(const FixedBaseTable& table, const U256& k);
   /// += k * p via GLV over per-call Jacobian tables (cold keys).
   void add_glv(const AffinePoint& p, const U256& k);

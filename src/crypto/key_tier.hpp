@@ -3,12 +3,12 @@
 // KeyTierStore: memory-budgeted comb tables for registered keys.
 //
 // A fleet-scale shard tracks 10^6+ principals, but per-key comb tables are
-// ~69 KB each — a full-table policy would need tens of gigabytes.  This
+// ~73 KB each — a full-table policy would need tens of gigabytes.  This
 // store keeps the *key set* unbounded (a few dozen bytes per key) and
 // spends a fixed byte budget on comb tables only, chosen by verify
 // frequency (DESIGN.md §15).  A key is in one of two states:
 //
-//   hot   — full fixed-base comb table (~69 KB): chain-free verification.
+//   hot   — full Lim–Lee comb table (~73 KB): a 7-doubling verification.
 //   cold  — no table: per-call GLV (the ec_mul_add_glv floor).
 //
 // It is the only owner of per-key verification state: crypto::verify

@@ -151,8 +151,8 @@ bool verify_tiered(const PublicKey& key, const FixedBaseTable* hot,
   if (key.point.infinity || !key.point.on_curve()) return false;
   if (!signature_well_formed(sig)) return false;
   // s*G == R + e*P rewritten as s*G + (n-e)*P == R: one pass, compared
-  // projectively.  The comb table makes the pass chain-free; without it
-  // the per-call GLV path runs.
+  // projectively.  The comb table cuts the pass to a 7-doubling chain;
+  // without it the per-call GLV path runs.
   const U256 e_neg =
       e.is_zero() ? U256{} : U256::sub(Secp256k1::n(), e).first;
   const JacobianPoint lhs =

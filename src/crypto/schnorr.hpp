@@ -89,8 +89,8 @@ class PrivateKey {
                           const Signature& sig) noexcept;
 
 /// The same check with the challenge e already computed and, optionally,
-/// the key's comb table: with `hot` the multiplication is two chain-free
-/// comb walks, without it the per-call GLV pass.  SchnorrVerifier calls
+/// the key's comb table: with `hot` the multiplication is two comb walks
+/// on one shared 7-doubling chain, without it the per-call GLV pass.  SchnorrVerifier calls
 /// this — the memo keys on e and batch verification folds z_i * e_i, so
 /// the message is hashed exactly once per verification.
 [[nodiscard]] bool verify_tiered(const PublicKey& key,

@@ -414,6 +414,91 @@ TEST(EcDifferential, MulAddMatchesNaiveComposition) {
   EXPECT_TRUE(ec_mul_add(U256{}, U256{}, table).is_identity());
 }
 
+TEST(EcDifferential, CombEdgeScalarsMatchNaive) {
+  // The Lim–Lee comb at the scalar-range edges, on a random key's table
+  // and on G's: mul() reduces mod n first, so n and n+1 must land on the
+  // identity and P, and 2^256 - 1 on its residue.
+  util::SplitMix64 rng(113);
+  const AffinePoint p = random_point(rng);
+  const FixedBaseTable table(p);
+  const U256& n = Secp256k1::n();
+  const U256 all_ones{~0ULL, ~0ULL, ~0ULL, ~0ULL};
+  // Only the top tooth (bits 224..255) set: digit 0x80 in every column of
+  // every block; and the single top bit.
+  const U256 top_tooth{0, 0, 0, 0xffffffff00000000ULL};
+  const U256 top_bit{0, 0, 0, 1ULL << 63};
+  const std::vector<U256> scalars = {
+      U256{},   U256{1}, U256::sub(n, U256{1}).first, n,
+      U256::add(n, U256{1}).first, all_ones, top_tooth, top_bit};
+  for (const U256& k : scalars) {
+    EXPECT_EQ(table.mul(k).to_affine(), ec_mul_naive(k, p).to_affine())
+        << "k=" << k.to_hex();
+    EXPECT_EQ(ec_mul_base(k).to_affine(),
+              ec_mul_naive(k, AffinePoint::generator()).to_affine())
+        << "k=" << k.to_hex();
+  }
+  // Every (block, column) digit 255 can only come from 2^256 - 1 itself,
+  // which mul() reduces away — so walk the columns directly.
+  JacobianPoint acc = JacobianPoint::identity();
+  for (unsigned j = FixedBaseTable::kColumns; j-- > 0;) {
+    acc = table.add_column(ec_double(acc), all_ones, j);
+  }
+  EXPECT_EQ(acc.to_affine(), ec_mul_naive(all_ones, p).to_affine());
+}
+
+TEST(EcDifferential, MulAddOnGeneratorTableHitsDoublingAndCancellation) {
+  // With G's own table as the key table, a == b adds each G-side entry
+  // and then the same P-side entry.  Where a column's only nonzero digit
+  // is the walk's first addition, the second one meets an equal point and
+  // takes ec_add_mixed's doubling branch: bit 3 alone in column 3, random
+  // bits in columns 0..2, forces that in the middle of the walk.  a == n-b
+  // cancels to the identity on the walk's last addition (P + (-P)).
+  util::SplitMix64 rng(127);
+  const FixedBaseTable& g_table = FixedBaseTable::generator();
+  const AffinePoint g = AffinePoint::generator();
+  constexpr std::uint64_t kLowColumns = 0x0707070707070707ULL;
+  for (int i = 0; i < 20; ++i) {
+    const U256 mid{(rng.next() & kLowColumns) | 0x08, rng.next() & kLowColumns,
+                   rng.next() & kLowColumns, rng.next() & kLowColumns};
+    const U256 wide =
+        sn_reduce(U256{rng.next(), rng.next(), rng.next(), rng.next()});
+    for (const U256& a : {mid, wide}) {
+      EXPECT_EQ(ec_mul_add(a, a, g_table).to_affine(),
+                ec_mul_naive(sn_add(a, a), g).to_affine());
+      const U256 b = U256::sub(Secp256k1::n(), a).first;
+      EXPECT_TRUE(ec_mul_add(a, b, g_table).is_identity());
+      // A forgery built on that cancellation: key G, s == e, so
+      // s*G + (n-e)*G is the identity, which no well-formed R equals.
+      const Signature forged{random_point(rng), a};
+      EXPECT_FALSE(verify_tiered(PublicKey{g}, &g_table, a, forged));
+    }
+  }
+}
+
+TEST(EcDifferential, MsmCombOnlyTermsRunFullChain) {
+  // Only comb and base terms: no wNAF stream sets the chain length, so
+  // result() must still run all kColumns steps — small scalars (digits in
+  // the low columns only) and full-width ones alike.
+  util::SplitMix64 rng(131);
+  const AffinePoint p = random_point(rng);
+  const FixedBaseTable table(p);
+  const std::vector<std::pair<U256, U256>> cases = {
+      {U256{1}, U256{3}},
+      {U256{0x80}, U256{}},
+      {U256{}, U256{0x8000}},
+      {U256{rng.next(), rng.next(), rng.next(), rng.next()},
+       U256{rng.next(), rng.next(), rng.next(), rng.next()}}};
+  for (const auto& [kb, kc] : cases) {
+    EcMsm msm;
+    msm.add_base(kb);
+    msm.add_comb(table, kc);
+    const JacobianPoint expected =
+        ec_add(ec_mul_naive(kb, AffinePoint::generator()), ec_mul_naive(kc, p));
+    EXPECT_EQ(msm.result().to_affine(), expected.to_affine())
+        << "kb=" << kb.to_hex() << " kc=" << kc.to_hex();
+  }
+}
+
 TEST(EcDifferential, EqualsAffineAgreesWithNormalization) {
   util::SplitMix64 rng(109);
   const AffinePoint p = random_point(rng);
