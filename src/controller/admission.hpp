@@ -18,10 +18,10 @@
 //   DecisionEngine    — renders the verdict.  PF+=2 evaluation for ident++
 //                       and Ethane (the latter simply has no responses to
 //                       look at), ACL first-match for the vanilla firewall,
-//                       allow-everything for the distributed firewall.  The
-//                       batched decide_many() entry point amortizes policy
-//                       evaluation across simultaneous packet-ins.
-//   DecisionCache     — optional TTL/LRU memo of verdicts so repeat
+//                       allow-everything for the distributed firewall.  Every
+//                       verdict goes through decide_many(): one context
+//                       per ready flow, a whole batch per deadline sweep.
+//   LruDecisionCache  — optional TTL/LRU memo of verdicts so repeat
 //                       packet-ins skip the daemon round trip (§6 ablation).
 //   InstallStrategy   — turns a verdict into flow-table state: full-path vs
 //                       ingress-only entries, drop-entry placement.
@@ -119,7 +119,8 @@ struct ControllerConfig {
   /// records and daemon queries are traded for table compactness.
   bool aggregate_installs = false;
   /// Bound on retained audit-log records (ring buffer: oldest records
-  /// drop first, counted in AuditLogObserver::dropped()).  The default is
+  /// drop first, counted in AuditLogObserver::dropped()).  0 keeps only
+  /// the latest record; there is no unbounded setting.  The default is
   /// high enough that bounded behaviour is invisible in normal runs.
   static constexpr std::size_t kDefaultAuditLogCapacity = 1 << 20;
   std::size_t audit_log_capacity = kDefaultAuditLogCapacity;
@@ -134,13 +135,6 @@ struct ControllerConfig {
   /// uses i + 1, so domains sharing switch tables revoke only their own
   /// entries.
   std::uint16_t cookie_namespace = 0;
-  /// Route decide_many() batches through the PF engine's batched entry
-  /// point (pf::PolicyEngine::evaluate_batch, DESIGN.md §11): static
-  /// prefilters probed per distinct 5-tuple plus cross-flow hoisting of
-  /// flow-invariant `with` predicates.  Verdicts are bit-identical either
-  /// way; the flag exists as the §6-style ablation and differential
-  /// oracle.  Only PolicyDecisionEngine consults it.
-  bool batch_policy_eval = true;
   /// Injected determinism mutation (model-checker self-test, DESIGN.md
   /// §13): commit shard-lane verdicts without the control-epoch
   /// re-decision, so a revoke/set_policy landing between dispatch and
@@ -319,8 +313,6 @@ class NoQueryPlanner : public QueryPlanner {
 /// stable in memory until erase().
 class ResponseCollector {
  public:
-  virtual ~ResponseCollector() = default;
-
   struct BeginResult {
     AdmissionContext* context = nullptr;
     bool inserted = false;  ///< false: decision already in flight
@@ -328,8 +320,8 @@ class ResponseCollector {
 
   /// Start (or join) the pending entry for `flow`; `msg` is buffered either
   /// way.
-  virtual BeginResult begin(const net::FiveTuple& flow,
-                            const openflow::PacketIn& msg, sim::SimTime now);
+  BeginResult begin(const net::FiveTuple& flow, const openflow::PacketIn& msg,
+                    sim::SimTime now);
 
   [[nodiscard]] AdmissionContext* find(const net::FiveTuple& flow);
 
@@ -340,10 +332,10 @@ class ResponseCollector {
   /// already filled (a duplicated channel delivery, or a retry's answer
   /// crossing the original) is NOT applied — first answer wins — and is
   /// flagged through `duplicate` when the caller asks (DESIGN.md §14).
-  virtual AdmissionContext* accept_response(net::Ipv4Address responder,
-                                            net::Ipv4Address peer,
-                                            const proto::Response& response,
-                                            bool* duplicate = nullptr);
+  AdmissionContext* accept_response(net::Ipv4Address responder,
+                                    net::Ipv4Address peer,
+                                    const proto::Response& response,
+                                    bool* duplicate = nullptr);
 
   /// Both sides answered (or were never asked)?
   [[nodiscard]] static bool ready(const AdmissionContext& ctx) noexcept {
@@ -378,7 +370,7 @@ class ResponseCollector {
   /// the matching queue entries.
   [[nodiscard]] std::vector<AdmissionContext*> expired(sim::SimTime now);
 
-  virtual void erase(const net::FiveTuple& flow);
+  void erase(const net::FiveTuple& flow);
 
   [[nodiscard]] std::size_t pending_count() const noexcept {
     return pending_.size();
@@ -407,12 +399,16 @@ class DecisionEngine {
  public:
   virtual ~DecisionEngine() = default;
 
+  /// Decide one context.  The controller calls it directly only to
+  /// re-decide a verdict whose control epoch went stale between dispatch
+  /// and commit.
   virtual AdmissionDecision decide(const AdmissionContext& ctx) = 0;
 
-  /// Batched decision entry point: contexts that became decidable at the
-  /// same instant (a packet-in storm hitting one query deadline) are
-  /// decided together so engines can amortize evaluation — duplicate flows
-  /// in one batch are evaluated once.  The default just loops decide().
+  /// The controller's decision entry point: one context when a flow's
+  /// responses are in, every expired context when a query deadline fires
+  /// (a packet-in storm), so engines can amortize evaluation — duplicate
+  /// flows in one batch are evaluated once.  The default just loops
+  /// decide().
   virtual std::vector<AdmissionDecision> decide_many(
       const std::vector<const AdmissionContext*>& batch);
 };
@@ -430,19 +426,15 @@ class PolicyDecisionEngine : public DecisionEngine {
   PolicyDecisionEngine(pf::Ruleset ruleset, pf::FunctionRegistry registry,
                        bool honor_keep_state = true);
 
+  /// One flow as a one-flow pf::PolicyEngine::evaluate_batch.
   AdmissionDecision decide(const AdmissionContext& ctx) override;
-  /// Memoizes by 5-tuple within the batch, then decides the distinct flows
-  /// through one pf::PolicyEngine::evaluate_batch call (prefilter probing
-  /// + hoisted predicates, DESIGN.md §11) when batch evaluation is on;
-  /// otherwise loops decide().  On PolicyError the whole batch falls back
-  /// to the per-flow path so each flow fails closed independently.
+  /// A batch of one is decide().  A larger batch is memoized by 5-tuple,
+  /// and the distinct flows are decided through one evaluate_batch call
+  /// (prefilter probing + hoisted predicates, DESIGN.md §11).  On
+  /// PolicyError each distinct flow is re-run as its own one-flow batch so
+  /// it fails closed alone.
   std::vector<AdmissionDecision> decide_many(
       const std::vector<const AdmissionContext*>& batch) override;
-
-  /// Toggle the batched PF path (ControllerConfig::batch_policy_eval is
-  /// applied here by AdmissionController).  Default on.
-  void set_batch_eval(bool enabled) noexcept { batch_eval_ = enabled; }
-  [[nodiscard]] bool batch_eval() const noexcept { return batch_eval_; }
 
   [[nodiscard]] const pf::PolicyEngine& policy_engine() const noexcept {
     return *engine_;
@@ -465,10 +457,12 @@ class PolicyDecisionEngine : public DecisionEngine {
   [[nodiscard]] pf::FlowContext make_flow_context(
       const AdmissionContext& ctx) const;
   [[nodiscard]] AdmissionDecision to_decision(const pf::Verdict& verdict) const;
+  /// evaluate_batch, failing closed (block) per flow on PolicyError.
+  [[nodiscard]] std::vector<pf::Verdict> evaluate_fail_closed(
+      std::span<const pf::FlowContext> flows) const;
 
   std::unique_ptr<pf::PolicyEngine> engine_;
   bool honor_keep_state_ = true;
-  bool batch_eval_ = true;
   /// Per-rule aggregation covers, computed once from the ruleset.
   std::vector<std::vector<openflow::FlowMatch>> covers_;
 };
@@ -515,10 +509,14 @@ class AllowAllDecisionEngine : public DecisionEngine {
 };
 
 // ---------------------------------------------------------------------------
-// Stage 3b: DecisionCache
+// Stage 3b: LruDecisionCache
 // ---------------------------------------------------------------------------
 
-class DecisionCache {
+/// LRU decision cache with optional capacity and TTL.  capacity = 0 means
+/// unbounded; ttl = 0 means entries never age out (see
+/// ControllerConfig::decision_cache_ttl) — with neither, the cache only
+/// shrinks through invalidate_if/clear.  Lookup refreshes recency.
+class LruDecisionCache {
  public:
   struct Stats {
     std::uint64_t hits = 0;
@@ -529,48 +527,24 @@ class DecisionCache {
     std::uint64_t invalidations = 0; ///< entries dropped by invalidate_if/clear
   };
 
-  virtual ~DecisionCache() = default;
+  LruDecisionCache(std::size_t capacity, sim::SimTime ttl);
 
-  virtual std::optional<AdmissionDecision> lookup(const net::FiveTuple& flow,
-                                                  sim::SimTime now) = 0;
-  virtual void store(const net::FiveTuple& flow,
-                     const AdmissionDecision& decision, sim::SimTime now) = 0;
+  std::optional<AdmissionDecision> lookup(const net::FiveTuple& flow,
+                                          sim::SimTime now);
+  void store(const net::FiveTuple& flow, const AdmissionDecision& decision,
+             sim::SimTime now);
 
   /// Drop cached decisions whose flow matches `pred`; returns entries
   /// dropped.  Revocation MUST call this: a revoked flow silently
   /// re-admitted from cache would defeat revoke_if entirely.
-  virtual std::size_t invalidate_if(
-      const std::function<bool(const net::FiveTuple&)>& pred) = 0;
-
-  virtual void clear() = 0;
-  [[nodiscard]] virtual std::size_t size() const noexcept = 0;
-
-  [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
-
- protected:
-  Stats stats_;
-};
-
-/// LRU decision cache with optional capacity and TTL.  capacity = 0 means
-/// unbounded; ttl = 0 means entries never age out (see
-/// ControllerConfig::decision_cache_ttl) — with neither, the cache only
-/// shrinks through invalidate_if/clear.  Lookup refreshes recency.
-class LruDecisionCache : public DecisionCache {
- public:
-  LruDecisionCache(std::size_t capacity, sim::SimTime ttl);
-
-  std::optional<AdmissionDecision> lookup(const net::FiveTuple& flow,
-                                          sim::SimTime now) override;
-  void store(const net::FiveTuple& flow, const AdmissionDecision& decision,
-             sim::SimTime now) override;
   std::size_t invalidate_if(
-      const std::function<bool(const net::FiveTuple&)>& pred) override;
-  void clear() override;
-  [[nodiscard]] std::size_t size() const noexcept override {
-    return entries_.size();
-  }
+      const std::function<bool(const net::FiveTuple&)>& pred);
+  void clear();
+  [[nodiscard]] std::size_t size() const noexcept { return entries_.size(); }
   /// 0 = unbounded.
   [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
+
+  [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
 
  private:
   struct Entry {
@@ -584,6 +558,7 @@ class LruDecisionCache : public DecisionCache {
   sim::SimTime ttl_;
   Order order_;  ///< front = most recently used
   std::unordered_map<net::FiveTuple, Order::iterator> entries_;
+  Stats stats_;
 };
 
 // ---------------------------------------------------------------------------
@@ -769,7 +744,8 @@ class AuditLogObserver : public AdmissionObserver {
   [[nodiscard]] const std::deque<DecisionRecord>& records() const noexcept {
     return records_;
   }
-  /// 0 = unbounded.
+  /// Records retained.  A requested capacity of 0 is clamped to 1 (the
+  /// latest record): retention is always bounded.
   [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
   /// Records discarded to stay within capacity.
   [[nodiscard]] std::uint64_t dropped() const noexcept { return dropped_; }
@@ -801,7 +777,7 @@ struct AdmissionPipeline {
   std::unique_ptr<QueryPlanner> planner;
   std::unique_ptr<ResponseCollector> collector;
   std::unique_ptr<DecisionEngine> engine;
-  std::unique_ptr<DecisionCache> cache;  ///< nullptr = no decision caching
+  std::unique_ptr<LruDecisionCache> cache;  ///< nullptr = no decision caching
   std::unique_ptr<InstallStrategy> installer;
 
   /// Fill any unset stage with its default (EndpointQueryPlanner,

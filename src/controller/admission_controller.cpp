@@ -43,7 +43,6 @@ AdmissionController::AdmissionController(openflow::Topology* topology,
   if (!pipeline_.engine) {
     throw Error("AdmissionController: pipeline needs a DecisionEngine");
   }
-  apply_engine_config();
   auto stats = std::make_unique<StatsObserver>();
   stats_observer_ = stats.get();
   observers_.push_back(std::move(stats));
@@ -95,19 +94,10 @@ void AdmissionController::add_observer(
   observers_.push_back(std::move(observer));
 }
 
-void AdmissionController::apply_engine_config() {
-  // Engine-level knobs that live in the controller's config: the
-  // batched-PF-evaluation ablation toggle.
-  if (auto* policy = dynamic_cast<PolicyDecisionEngine*>(pipeline_.engine.get())) {
-    policy->set_batch_eval(config_.batch_policy_eval);
-  }
-}
-
 void AdmissionController::replace_engine(
     std::unique_ptr<DecisionEngine> engine) {
   if (!engine) throw Error("replace_engine: null DecisionEngine");
   pipeline_.engine = std::move(engine);
-  apply_engine_config();
   // Decisions in flight on a shard lane were computed by the replaced
   // engine; the epoch bump makes their commit re-decide.
   note_epoch_access(config_.cookie_namespace, /*write=*/true);
@@ -299,10 +289,7 @@ void AdmissionController::handle_new_flow(const openflow::PacketIn& msg,
     notify([&](AdmissionObserver& o) { o.on_query_proxied(flow); });
   }
 
-  if (ResponseCollector::ready(*ctx)) {
-    decide_one(*ctx, false);
-    return;
-  }
+  if (decide_if_ready(*ctx)) return;
 
   // Arm the decision deadline; expiry is swept in batches so simultaneous
   // packet-in storms share one decide_many() evaluation.  One sweep per
@@ -369,40 +356,7 @@ void AdmissionController::sweep_expired() {
 
   // Stage 3, batched: one decide_many over every flow that hit this
   // deadline tick.
-  if (config_.decision_lane == sim::kGlobalLane) {
-    std::vector<const AdmissionContext*> batch(expired.begin(), expired.end());
-    const std::vector<AdmissionDecision> decisions =
-        pipeline_.engine->decide_many(batch);
-    for (std::size_t i = 0; i < expired.size(); ++i) {
-      finalize(*expired[i], decisions[i]);
-    }
-    return;
-  }
-
-  // Sharded domain: evaluate the whole batch on the shard lane (in
-  // parallel with sibling domains' batches), commit on the global lane at
-  // the same virtual instant.
-  for (AdmissionContext* ctx : expired) ctx->decision_in_flight = true;
-  const std::uint64_t epoch = control_epoch_;
-  simulator().schedule_on(
-      config_.decision_lane, simulator().now(),
-      [this, expired = std::move(expired), epoch] {
-        // The batch verdicts are only valid for the dispatch-time epoch;
-        // the eval is a shard-lane read of it.
-        note_epoch_access(config_.cookie_namespace, /*write=*/false);
-        std::vector<const AdmissionContext*> batch(expired.begin(),
-                                                   expired.end());
-        std::vector<AdmissionDecision> decisions =
-            pipeline_.engine->decide_many(batch);
-        simulator().schedule_on(
-            sim::kGlobalLane, simulator().now(),
-            [this, expired, epoch,
-             decisions = std::move(decisions)]() mutable {
-              for (std::size_t i = 0; i < expired.size(); ++i) {
-                commit_decision(*expired[i], std::move(decisions[i]), epoch);
-              }
-            });
-      });
+  dispatch_decisions(std::move(expired));
 }
 
 bool AdmissionController::retry_queries(AdmissionContext& ctx) {
@@ -502,37 +456,52 @@ std::size_t AdmissionController::remove_flow_entries(
   return removed;
 }
 
-void AdmissionController::maybe_decide(AdmissionContext& ctx) {
-  if (ResponseCollector::ready(ctx)) decide_one(ctx, false);
-}
-
-void AdmissionController::decide_one(AdmissionContext& ctx, bool timed_out) {
-  if (ctx.decision_in_flight) return;
+bool AdmissionController::decide_if_ready(AdmissionContext& ctx) {
+  if (!ResponseCollector::ready(ctx)) return false;
+  if (ctx.decision_in_flight) return true;
   // Late proxy fill-in for sides that never answered.
   const std::size_t proxied = pipeline_.collector->fill_proxies_at_decide(ctx);
   for (std::size_t i = 0; i < proxied; ++i) {
     notify([&](AdmissionObserver& o) { o.on_query_proxied(ctx.flow); });
   }
-  ctx.timed_out = timed_out;
+  dispatch_decisions({&ctx});
+  return true;
+}
+
+void AdmissionController::dispatch_decisions(
+    std::vector<AdmissionContext*> batch) {
   if (config_.decision_lane == sim::kGlobalLane) {
-    const AdmissionDecision decision = pipeline_.engine->decide(ctx);
-    finalize(ctx, decision);
+    const std::vector<const AdmissionContext*> view(batch.begin(), batch.end());
+    const std::vector<AdmissionDecision> decisions =
+        pipeline_.engine->decide_many(view);
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      finalize(*batch[i], decisions[i]);
+    }
     return;
   }
   // Sharded domain: the engine (shard-local policy engine, verifier and
-  // caches) runs on this domain's lane; the commit runs back on the
-  // global lane, same virtual instant, so sharding never changes
-  // simulated timings.
-  ctx.decision_in_flight = true;
+  // caches) evaluates the whole batch on this domain's lane, in parallel
+  // with sibling domains; the commit runs back on the global lane at the
+  // same virtual instant, so sharding never changes simulated timings.
+  for (AdmissionContext* ctx : batch) ctx->decision_in_flight = true;
   const std::uint64_t epoch = control_epoch_;
   simulator().schedule_on(
-      config_.decision_lane, simulator().now(), [this, &ctx, epoch] {
+      config_.decision_lane, simulator().now(),
+      [this, batch = std::move(batch), epoch]() mutable {
+        // The verdicts are only valid for the dispatch-time epoch; the
+        // eval is a shard-lane read of it.
         note_epoch_access(config_.cookie_namespace, /*write=*/false);
-        AdmissionDecision decision = pipeline_.engine->decide(ctx);
+        const std::vector<const AdmissionContext*> view(batch.begin(),
+                                                        batch.end());
+        std::vector<AdmissionDecision> decisions =
+            pipeline_.engine->decide_many(view);
         simulator().schedule_on(
             sim::kGlobalLane, simulator().now(),
-            [this, &ctx, epoch, decision = std::move(decision)]() mutable {
-              commit_decision(ctx, std::move(decision), epoch);
+            [this, batch = std::move(batch), epoch,
+             decisions = std::move(decisions)]() mutable {
+              for (std::size_t i = 0; i < batch.size(); ++i) {
+                commit_decision(*batch[i], std::move(decisions[i]), epoch);
+              }
             });
       });
 }

@@ -133,7 +133,7 @@ class AdmissionController : public openflow::ControlPlane, public AdmissionEnv {
   [[nodiscard]] const DecisionEngine& decision_engine() const noexcept {
     return *pipeline_.engine;
   }
-  [[nodiscard]] DecisionCache* decision_cache() noexcept {
+  [[nodiscard]] LruDecisionCache* decision_cache() noexcept {
     return pipeline_.cache.get();
   }
   [[nodiscard]] InstallStrategy& installer() noexcept {
@@ -185,14 +185,11 @@ class AdmissionController : public openflow::ControlPlane, public AdmissionEnv {
   void handle_new_flow(const openflow::PacketIn& msg,
                        const net::FiveTuple& flow);
 
-  /// Decide `ctx` now if both sides are ready.
-  void maybe_decide(AdmissionContext& ctx);
-
-  /// Run the decision stages for `ctx` and retire it.  With a shard
-  /// decision lane configured, evaluation is dispatched to that lane and
-  /// the verdict commits back on the global lane at the same virtual
-  /// instant (commit_decision).
-  void decide_one(AdmissionContext& ctx, bool timed_out);
+  /// If both sides of `ctx` are in, proxy-fill any side that never
+  /// answered and dispatch it as a batch of one; returns false (and does
+  /// nothing) while a side is still awaited.  A context whose decision is
+  /// already in flight counts as dispatched.
+  bool decide_if_ready(AdmissionContext& ctx);
 
   template <typename Fn>
   void notify(Fn&& fn) {
@@ -210,9 +207,6 @@ class AdmissionController : public openflow::ControlPlane, public AdmissionEnv {
   /// engine — never a stale cover or cache entry.
   void commit_decision(AdmissionContext& ctx, AdmissionDecision decision,
                        std::uint64_t dispatch_epoch);
-  /// Push engine-level config knobs (batch_policy_eval) into the current
-  /// DecisionEngine; called at construction and after replace_engine.
-  void apply_engine_config();
   /// Does any domain switch still hold an entry with this cookie?
   [[nodiscard]] bool cookie_live(std::uint64_t cookie) const;
   /// Drop cookie-map entries whose last flow-table entry is gone.
@@ -221,6 +215,13 @@ class AdmissionController : public openflow::ControlPlane, public AdmissionEnv {
                      const AdmissionDecision& cached);
   /// Batch-decide every pending flow whose deadline has passed.
   void sweep_expired();
+  /// The one dispatch of fresh decisions: DecisionEngine::decide_many over
+  /// `batch` (a ready flow alone, or a deadline sweep's expired flows),
+  /// then finalize.  With a shard decision lane configured, evaluation
+  /// runs on that lane and the verdicts commit back on the global lane at
+  /// the same virtual instant (commit_decision) — one shard-lane event
+  /// per batch.
+  void dispatch_decisions(std::vector<AdmissionContext*> batch);
   // -- robustness (DESIGN.md §14) -------------------------------------------
   /// Re-issue `ctx`'s unanswered queries with exponential backoff + seeded
   /// jitter.  Returns true when a retry went out (the context keeps

@@ -217,7 +217,7 @@ bool IdentxxController::try_consume_response(const openflow::PacketIn& msg,
   }
   recent_responses_.insert(key, now);
   notify([&](AdmissionObserver& o) { o.on_response_received(responder); });
-  maybe_decide(*ctx);
+  decide_if_ready(*ctx);
   return true;
 }
 

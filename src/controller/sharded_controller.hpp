@@ -9,7 +9,7 @@
 // ("domains") with a consistent ShardMap (canonical 5-tuple hash, endpoint
 // affinity).  Each domain owns shard-local state — its PolicyDecisionEngine
 // (and thus its SchnorrVerifier with per-key tables and memo), its
-// DecisionCache, its ResponseCollector, its install bookkeeping and audit
+// LruDecisionCache, its ResponseCollector, its install bookkeeping and audit
 // log — shared-nothing, no locks anywhere on the decision hot path.
 //
 // The front-end owns every switch's control channel and dispatches:

@@ -28,9 +28,8 @@ Verdict PolicyEngine::evaluate(const FlowContext& ctx) const {
 //
 //   * Static prefilters.  Each rule's proto / host / port constraints are
 //     compiled once into flat CIDR lists (tables resolved up front), and
-//     each *distinct* 5-tuple in the batch probes them once to produce its
-//     candidate-rule list.  Rules a flow can never match are skipped
-//     without being visited; rules that cannot be compiled (a table the
+//     each flow probes them in rule order.  Rules a flow can never match
+//     are skipped without being visited; rules that cannot be compiled (a table the
 //     ruleset does not define) stay "dynamic" and run through the
 //     interpreted matcher so PolicyError surfaces exactly where serial
 //     evaluation would throw it.
@@ -71,6 +70,14 @@ namespace {
     }
   }
   return key;
+}
+
+/// Evaluate `call`'s arguments into `out` (cleared first).
+void resolve_args(const EvalContext& eval, const FuncCall& call,
+                  std::vector<Value>& out) {
+  out.clear();
+  out.reserve(call.args.size());
+  for (const Expr& expr : call.args) out.push_back(eval.eval_expr(expr));
 }
 
 /// Expression whose value cannot depend on the flow under evaluation:
@@ -186,41 +193,50 @@ bool PolicyEngine::static_endpoint_matches(const CompiledEndpoint& endpoint,
   return true;
 }
 
-std::vector<std::uint32_t> PolicyEngine::static_candidates(
-    const net::FiveTuple& flow) const {
-  std::vector<std::uint32_t> out;
-  out.reserve(compiled_.size());
-  for (std::uint32_t i = 0; i < compiled_.size(); ++i) {
-    const CompiledRule& rule = compiled_[i];
-    // Serial order is proto, from, to; a static mismatch at any point
-    // before the first dynamic spec proves serial evaluation returns
-    // false there without visiting the (possibly throwing) remainder.
-    if (rule.proto && *rule.proto != flow.proto) continue;
-    if (!rule.from.dynamic) {
-      if (!static_endpoint_matches(rule.from, flow.src_ip, flow.src_port)) {
-        continue;
-      }
-      if (!rule.to.dynamic &&
-          !static_endpoint_matches(rule.to, flow.dst_ip, flow.dst_port)) {
-        continue;
-      }
-    }
-    out.push_back(i);
+bool PolicyEngine::static_candidate(const CompiledRule& rule,
+                                    const net::FiveTuple& flow) noexcept {
+  // Serial order is proto, from, to; a static mismatch at any point before
+  // the first dynamic spec proves serial evaluation returns false there
+  // without visiting the (possibly throwing) remainder.
+  if (rule.proto && *rule.proto != flow.proto) return false;
+  if (rule.from.dynamic) return true;
+  if (!static_endpoint_matches(rule.from, flow.src_ip, flow.src_port)) {
+    return false;
   }
-  return out;
+  return rule.to.dynamic ||
+         static_endpoint_matches(rule.to, flow.dst_ip, flow.dst_port);
 }
+
+/// Cross-flow state of one multi-flow batch: the hoisted-call memo and
+/// per-site caches of flow-independent argument vectors.
+struct PolicyEngine::BatchShare {
+  explicit BatchShare(std::size_t call_sites) : args_cache(call_sites) {}
+
+  std::unordered_map<std::string, bool> memo;
+  std::vector<std::optional<std::vector<Value>>> args_cache;
+};
 
 std::vector<Verdict> PolicyEngine::evaluate_batch(
     std::span<const FlowContext> batch) const {
   ++stats_.batches;
-  // Per-batch state: the flow-key index (distinct 5-tuples probe the
-  // prefilters once), the hoisted-call memo, and per-site caches of
-  // flow-independent argument vectors.
-  std::unordered_map<net::FiveTuple, std::uint32_t> slots;
-  std::vector<std::vector<std::uint32_t>> candidate_sets;
-  std::unordered_map<std::string, bool> memo;
-  std::vector<std::optional<std::vector<Value>>> args_cache(call_sites_);
+  std::vector<Verdict> out;
+  out.reserve(batch.size());
+  if (batch.size() == 1) {
+    // Every ready flow arrives alone: nothing to share, so skip the memo,
+    // the argument caches and the preparer warm-up (a lone attestation
+    // gains nothing from aggregation).
+    out.push_back(evaluate_compiled(batch.front(), nullptr));
+    return out;
+  }
+  BatchShare share(call_sites_);
+  if (has_preparers_) prepare_batch(batch);
+  for (const FlowContext& ctx : batch) {
+    out.push_back(evaluate_compiled(ctx, &share));
+  }
+  return out;
+}
 
+void PolicyEngine::prepare_batch(std::span<const FlowContext> batch) const {
   // Batch-preparer pre-pass (DESIGN.md §15): before any flow is evaluated,
   // resolve the arguments of every candidate call to a function with a
   // registered preparer and hand them over in one shot (the `verify`
@@ -230,140 +246,117 @@ std::vector<Verdict> PolicyEngine::evaluate_batch(
   // PolicyError on its own, or never reaches the call), preparer failures
   // are swallowed, and no eval-level counter moves — the stats invariants
   // against serial evaluation are untouched.
-  if (has_preparers_) {
-    std::map<std::string_view, std::vector<std::vector<Value>>> gathered;
-    for (const FlowContext& ctx : batch) {
-      const auto [slot, inserted] = slots.try_emplace(
-          ctx.flow, static_cast<std::uint32_t>(candidate_sets.size()));
-      if (inserted) candidate_sets.push_back(static_candidates(ctx.flow));
-      const EvalContext eval(ctx, ruleset_, registry_, stats_);
-      for (const std::uint32_t index : candidate_sets[slot->second]) {
-        for (const CompiledCall& cc : compiled_[index].withs) {
-          if (cc.preparer == nullptr) continue;
-          try {
-            std::vector<Value> resolved;
-            resolved.reserve(cc.call->args.size());
-            for (const Expr& expr : cc.call->args) {
-              resolved.push_back(eval.eval_expr(expr));
-            }
-            gathered[cc.call->name].push_back(std::move(resolved));
-          } catch (const PolicyError&) {
-            // The call's arguments don't resolve for this flow; serial
-            // evaluation throws if and when it actually reaches the call.
-          }
-        }
-      }
-    }
-    for (const auto& [name, calls] : gathered) {
-      try {
-        (*registry_.batch_preparer(name))(calls);
-      } catch (...) {
-        // Advisory only: a failing preparer must not fail the batch.
-      }
-    }
-  }
-
-  const std::size_t rule_count = ruleset_.rules.size();
-  std::vector<Verdict> out;
-  out.reserve(batch.size());
+  std::map<std::string_view, std::vector<std::vector<Value>>> gathered;
   for (const FlowContext& ctx : batch) {
-    ++stats_.evaluations;
-    ++stats_.batch_flows;
-    const auto [slot, inserted] = slots.try_emplace(
-        ctx.flow, static_cast<std::uint32_t>(candidate_sets.size()));
-    if (inserted) candidate_sets.push_back(static_candidates(ctx.flow));
-    const std::vector<std::uint32_t>& candidates = candidate_sets[slot->second];
-
     const EvalContext eval(ctx, ruleset_, registry_, stats_);
-    Verdict verdict;
-    std::size_t visited = 0;
-    std::size_t serial_visited = rule_count;  // quick break overwrites
-    for (const std::uint32_t index : candidates) {
-      ++visited;
-      ++stats_.rules_scanned;
-      const CompiledRule& rule = compiled_[index];
-
-      // Dynamic endpoints re-run the interpreted matcher in serial order
-      // (from, then to) so unknown-table PolicyErrors surface identically.
-      if (rule.from.dynamic &&
-          !eval.endpoint_matches(rule.rule->from, ctx.flow.src_ip,
-                                 ctx.flow.src_port)) {
-        continue;
-      }
-      if (rule.to.dynamic &&
-          !eval.endpoint_matches(rule.rule->to, ctx.flow.dst_ip,
-                                 ctx.flow.dst_port)) {
-        continue;
-      }
-      if (rule.from.dynamic && !rule.to.dynamic &&
-          !static_endpoint_matches(rule.to, ctx.flow.dst_ip,
-                                   ctx.flow.dst_port)) {
-        continue;
-      }
-
-      bool matched = true;
-      std::vector<Value> scratch;
+    for (const CompiledRule& rule : compiled_) {
+      if (!static_candidate(rule, ctx.flow)) continue;
       for (const CompiledCall& cc : rule.withs) {
-        if (cc.fn == nullptr) {
-          throw PolicyError("unknown policy function '" + cc.call->name +
-                            "' (line " + std::to_string(cc.call->line) + ")");
+        if (cc.preparer == nullptr) continue;
+        try {
+          std::vector<Value> resolved;
+          resolve_args(eval, *cc.call, resolved);
+          gathered[cc.call->name].push_back(std::move(resolved));
+        } catch (const PolicyError&) {
+          // The call's arguments don't resolve for this flow; serial
+          // evaluation throws if and when it actually reaches the call.
         }
-        const std::vector<Value>* args;
-        if (cc.static_args) {
-          std::optional<std::vector<Value>>& cached = args_cache[cc.site];
-          if (!cached) {
-            std::vector<Value> resolved;
-            resolved.reserve(cc.call->args.size());
-            for (const Expr& expr : cc.call->args) {
-              resolved.push_back(eval.eval_expr(expr));
-            }
-            cached = std::move(resolved);
-          }
-          args = &*cached;
-        } else {
-          scratch.clear();
-          scratch.reserve(cc.call->args.size());
-          for (const Expr& expr : cc.call->args) {
-            scratch.push_back(eval.eval_expr(expr));
-          }
-          args = &scratch;
-        }
-        bool result;
-        if (cc.hoistable) {
-          std::string key = memo_key(cc.site, *args);
-          if (const auto hit = memo.find(key); hit != memo.end()) {
-            ++stats_.hoist_memo_hits;
-            result = hit->second;
-          } else {
-            ++stats_.functions_called;
-            result = (*cc.fn)(eval, *cc.call, *args);
-            memo.emplace(std::move(key), result);
-          }
-        } else {
-          ++stats_.functions_called;
-          result = (*cc.fn)(eval, *cc.call, *args);
-        }
-        if (!result) {
-          matched = false;
-          break;
-        }
-      }
-      if (!matched) continue;
-
-      verdict.action = rule.rule->action;
-      verdict.keep_state = rule.rule->keep_state;
-      verdict.quick = rule.rule->quick;
-      verdict.log = rule.rule->log;
-      verdict.rule = rule.rule;
-      if (rule.rule->quick) {
-        serial_visited = index + 1;
-        break;
       }
     }
-    stats_.prefilter_skips += serial_visited - visited;
-    out.push_back(verdict);
   }
-  return out;
+  for (const auto& [name, calls] : gathered) {
+    try {
+      (*registry_.batch_preparer(name))(calls);
+    } catch (...) {
+      // Advisory only: a failing preparer must not fail the batch.
+    }
+  }
+}
+
+Verdict PolicyEngine::evaluate_compiled(const FlowContext& ctx,
+                                        BatchShare* share) const {
+  ++stats_.evaluations;
+  ++stats_.batch_flows;
+  const EvalContext eval(ctx, ruleset_, registry_, stats_);
+  Verdict verdict;
+  std::size_t visited = 0;
+  std::size_t serial_visited = compiled_.size();  // quick break overwrites
+  // Visit candidate rule `index`; true when a matching quick rule ends the
+  // scan.
+  const auto visit = [&](std::uint32_t index) {
+    ++visited;
+    ++stats_.rules_scanned;
+    const CompiledRule& rule = compiled_[index];
+    if (!compiled_rule_matches(rule, eval, share)) return false;
+    verdict.action = rule.rule->action;
+    verdict.keep_state = rule.rule->keep_state;
+    verdict.quick = rule.rule->quick;
+    verdict.log = rule.rule->log;
+    verdict.rule = rule.rule;
+    if (!rule.rule->quick) return false;
+    serial_visited = index + 1;
+    return true;
+  };
+  for (std::uint32_t index = 0; index < compiled_.size(); ++index) {
+    if (static_candidate(compiled_[index], ctx.flow) && visit(index)) break;
+  }
+  stats_.prefilter_skips += serial_visited - visited;
+  return verdict;
+}
+
+bool PolicyEngine::compiled_rule_matches(const CompiledRule& rule,
+                                         const EvalContext& eval,
+                                         BatchShare* share) const {
+  const net::FiveTuple& flow = eval.flow().flow;
+  // Dynamic endpoints re-run the interpreted matcher in serial order
+  // (from, then to) so unknown-table PolicyErrors surface identically.
+  if (rule.from.dynamic &&
+      !eval.endpoint_matches(rule.rule->from, flow.src_ip, flow.src_port)) {
+    return false;
+  }
+  if (rule.to.dynamic &&
+      !eval.endpoint_matches(rule.rule->to, flow.dst_ip, flow.dst_port)) {
+    return false;
+  }
+  if (rule.from.dynamic && !rule.to.dynamic &&
+      !static_endpoint_matches(rule.to, flow.dst_ip, flow.dst_port)) {
+    return false;
+  }
+
+  for (const CompiledCall& cc : rule.withs) {
+    if (cc.fn == nullptr) {
+      throw PolicyError("unknown policy function '" + cc.call->name +
+                        "' (line " + std::to_string(cc.call->line) + ")");
+    }
+    const std::vector<Value>* args = &scratch_;
+    if (share != nullptr && cc.static_args) {
+      std::optional<std::vector<Value>>& cached = share->args_cache[cc.site];
+      if (!cached) {
+        resolve_args(eval, *cc.call, scratch_);
+        cached = scratch_;
+      }
+      args = &*cached;
+    } else {
+      resolve_args(eval, *cc.call, scratch_);
+    }
+    bool result;
+    if (share != nullptr && cc.hoistable) {
+      std::string key = memo_key(cc.site, *args);
+      if (const auto hit = share->memo.find(key); hit != share->memo.end()) {
+        ++stats_.hoist_memo_hits;
+        result = hit->second;
+      } else {
+        ++stats_.functions_called;
+        result = (*cc.fn)(eval, *cc.call, *args);
+        share->memo.emplace(std::move(key), result);
+      }
+    } else {
+      ++stats_.functions_called;
+      result = (*cc.fn)(eval, *cc.call, *args);
+    }
+    if (!result) return false;
+  }
+  return true;
 }
 
 Verdict EvalContext::eval_rules(const std::vector<Rule>& rules) const {

@@ -59,8 +59,8 @@ struct EngineStats {
   // These are *work* counters, so they hold for runs that complete: an
   // evaluation aborted by PolicyError keeps the work it did before the
   // throw (in either mode), and a caller that then falls back — e.g.
-  // PolicyDecisionEngine::decide_many re-deciding per flow — counts the
-  // fallback's work on top.
+  // PolicyDecisionEngine re-running each flow as a one-flow batch —
+  // counts the fallback's work on top.
   std::uint64_t batches = 0;           ///< evaluate_batch() calls
   std::uint64_t batch_flows = 0;       ///< contexts decided through batches
   std::uint64_t prefilter_skips = 0;   ///< rule visits elided by static prefilters
@@ -82,9 +82,11 @@ class PolicyEngine {
   PolicyEngine(PolicyEngine&&) = default;
   PolicyEngine& operator=(PolicyEngine&&) = default;
 
-  /// Decide `ctx`.  Throws PolicyError for unknown functions/tables (admin
-  /// configuration errors); never throws for malformed *delegated* content,
-  /// which simply fails to match.
+  /// Decide `ctx` by interpreting the ruleset: the reference evaluator
+  /// that evaluate_batch is checked against (the controller decides
+  /// through evaluate_batch).  Throws PolicyError for unknown
+  /// functions/tables (admin configuration errors); never throws for
+  /// malformed *delegated* content, which simply fails to match.
   [[nodiscard]] Verdict evaluate(const FlowContext& ctx) const;
 
   /// Decide a whole batch of flows through the compiled ruleset
@@ -92,15 +94,17 @@ class PolicyEngine {
   /// pointers — are bit-identical to calling evaluate() on each context in
   /// order; only the work is shared:
   ///   * per-rule static prefilters (proto / CIDR / resolved-table /
-  ///     port-range checks), probed once per distinct 5-tuple in the batch
-  ///     instead of once per flow per rule;
+  ///     port-range checks) compiled once, so a rule a flow can never
+  ///     match is skipped without being visited;
   ///   * `with` predicates whose verdict is determined by their argument
   ///     values (every builtin except `allowed`) run once per batch per
   ///     (call site, resolved arguments) and are memoized after that, so a
   ///     shared attestation verifies once however many flows carry it.
+  /// A one-flow batch shares nothing, so it builds none of that state (no
+  /// preparer pre-pass, hoist memo or argument caches).
   /// Throws PolicyError exactly where serial evaluation would (unknown
   /// function/table/dict reached by a flow); callers needing per-flow
-  /// fail-closed semantics fall back to evaluate() per context.
+  /// fail-closed semantics re-run each flow as its own one-flow batch.
   [[nodiscard]] std::vector<Verdict> evaluate_batch(
       std::span<const FlowContext> batch) const;
 
@@ -142,9 +146,24 @@ class PolicyEngine {
     std::vector<CompiledCall> withs;
   };
 
+  /// Cross-flow state of one multi-flow batch (DESIGN.md §11).
+  struct BatchShare;
+
   void compile();
-  [[nodiscard]] std::vector<std::uint32_t> static_candidates(
-      const net::FiveTuple& flow) const;
+  /// Can `flow` pass `rule`'s static prefilters?
+  [[nodiscard]] static bool static_candidate(
+      const CompiledRule& rule, const net::FiveTuple& flow) noexcept;
+  /// Run the batch preparers over every candidate call in `batch`.
+  void prepare_batch(std::span<const FlowContext> batch) const;
+  /// Decide one flow over its candidate rules.  `share` is null for a
+  /// one-flow batch, which then neither reads nor fills any memo.
+  [[nodiscard]] Verdict evaluate_compiled(const FlowContext& ctx,
+                                          BatchShare* share) const;
+  /// Does a candidate rule match (dynamic endpoints, then the `with`
+  /// calls)?
+  [[nodiscard]] bool compiled_rule_matches(const CompiledRule& rule,
+                                           const EvalContext& eval,
+                                           BatchShare* share) const;
   /// Static counterpart of EvalContext::endpoint_matches for compiled
   /// endpoints (never throws; only valid when !dynamic).
   [[nodiscard]] static bool static_endpoint_matches(
@@ -157,6 +176,10 @@ class PolicyEngine {
   std::uint32_t call_sites_ = 0;
   bool has_preparers_ = false;  ///< any compiled call has a batch preparer
   mutable EngineStats stats_;
+  /// Resolved `with` arguments of the compiled evaluator, kept between
+  /// evaluations so a ready flow allocates no argument vector.  Like
+  /// stats_, it assumes one caller at a time.
+  mutable std::vector<Value> scratch_;
 };
 
 /// Evaluation context handed to policy functions.  Exposes expression

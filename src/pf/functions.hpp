@@ -54,11 +54,13 @@ using PolicyFunction = std::function<bool(
 
 /// Advisory batch warm-up for a policy function: receives the resolved
 /// argument vectors of every reachable call to that function across one
-/// evaluate_batch(), before any flow is evaluated.  The preparer may prime
-/// backend caches (the `verify` builtin batch-verifies all attestations in
-/// one multi-scalar multiplication, seeding the verification memo) but must
-/// not produce verdicts — the per-flow evaluation still calls the function,
-/// which is what keeps batch evaluation observably identical to serial.
+/// evaluate_batch() of two or more flows, before any flow is evaluated (a
+/// one-flow batch has nothing to share and never runs preparers).  The
+/// preparer may prime backend caches (the `verify` builtin batch-verifies
+/// all attestations in one multi-scalar multiplication, seeding the
+/// verification memo) but must not produce verdicts — the per-flow
+/// evaluation still calls the function, which is what keeps batch
+/// evaluation observably identical to serial.
 using BatchPreparer = std::function<void(
     const std::vector<std::vector<Value>>& calls)>;
 
@@ -84,7 +86,8 @@ class FunctionRegistry {
   [[nodiscard]] const PolicyFunction* find(std::string_view name) const;
 
   /// Attach a batch preparer to an already-registered function.  The batch
-  /// evaluator invokes it once per batch with all reachable resolved calls.
+  /// evaluator invokes it once per batch of two or more flows with all
+  /// reachable resolved calls.
   void register_batch_preparer(std::string name, BatchPreparer preparer);
 
   /// The preparer for `name`, or null (most functions have none).

@@ -252,6 +252,33 @@ TEST(DecideMany, PolicyEngineMemoizesDuplicateFlows) {
   EXPECT_EQ(engine.policy_engine().stats().evaluations, 2u);
 }
 
+TEST(DecideMany, PolicyErrorFailsClosedPerFlow) {
+  // Only port-22 flows reach the unknown function: each fails closed on its
+  // own, and the rest of the batch keeps its verdicts.
+  ctrl::PolicyDecisionEngine engine(pf::parse(
+      "block all\npass from any to any port 80\n"
+      "pass from any to any port 22 with nosuch(x)\n",
+      "test"));
+
+  ctrl::AdmissionContext web, ssh;
+  web.flow = make_flow(1, 2, 80);
+  ssh.flow = make_flow(1, 2, 22);
+
+  const auto decisions = engine.decide_many({&web, &ssh, &web});
+  ASSERT_EQ(decisions.size(), 3u);
+  EXPECT_TRUE(decisions[0].allowed);
+  EXPECT_FALSE(decisions[1].allowed);
+  EXPECT_EQ(decisions[1].rule, "default");
+  EXPECT_TRUE(decisions[2].allowed);
+
+  // A batch of one fails closed the same way.
+  const auto alone = engine.decide_many({&ssh});
+  ASSERT_EQ(alone.size(), 1u);
+  EXPECT_FALSE(alone[0].allowed);
+  EXPECT_EQ(alone[0].rule, "default");
+  EXPECT_FALSE(engine.decide(ssh).allowed);
+}
+
 /// AdmissionController subclass whose queries vanish into the void: every
 /// admission waits for the full query timeout, so simultaneous flows hit
 /// one deadline sweep and decide as a single batch.
@@ -1083,6 +1110,28 @@ TEST(AuditLogCap, ControllerHonoursConfiguredCapacity) {
   ASSERT_EQ(controller.audit_log().size(), 1u);
   EXPECT_EQ(controller.audit_log().front().flow.dst_port, 81);
   EXPECT_EQ(controller.audit_dropped(), 1u);
+}
+
+TEST(AuditLogCap, ZeroCapacityKeepsOnlyTheLatestRecord) {
+  // 0 is clamped to 1, not "unbounded": retention is always bounded.
+  Network net;
+  const auto s1 = net.add_switch("s1");
+  auto& client = net.add_host("client", "10.0.0.1");
+  auto& server = net.add_host("server", "10.0.0.2");
+  net.link(client, s1);
+  net.link(server, s1);
+  ctrl::ControllerConfig config;
+  config.audit_log_capacity = 0;
+  auto& controller = net.install_controller("pass all\n", config);
+  client.add_user("u", "users");
+  const int pid = client.launch("u", "/bin/x");
+  for (const std::uint16_t port : {80, 81, 82}) {
+    net.start_flow(client, pid, "10.0.0.2", port);
+    net.run();
+  }
+  ASSERT_EQ(controller.audit_log().size(), 1u);
+  EXPECT_EQ(controller.audit_log().front().flow.dst_port, 82);
+  EXPECT_EQ(controller.audit_dropped(), 2u);
 }
 
 TEST(BaselineRegression, DistributedFirewallAdmitsEverything) {

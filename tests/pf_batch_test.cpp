@@ -3,11 +3,14 @@
 // matched-rule pointers, PolicyError at the same places — while sharing
 // prefilter probes and hoisted `with` predicates across the batch.  The
 // centerpiece is a randomized differential sweep against the serial
-// oracle; targeted tests pin down the edges (quick, negation, unknown
-// tables/functions, memo scoping, OpenFlow-only keys).
+// oracle, over whole batches and over each flow as a one-flow batch (the
+// shape of every ready flow the controller decides); targeted tests pin
+// down the edges (quick, negation, unknown tables/functions, memo scoping,
+// OpenFlow-only keys).
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <random>
 #include <span>
 #include <string>
@@ -45,6 +48,16 @@ StatsDelta delta(const EngineStats& after, const EngineStats& before) {
                     after.hoist_memo_hits - before.hoist_memo_hits};
 }
 
+void expect_same_verdict(const Verdict& serial, const Verdict& batched,
+                         const char* label, std::size_t i) {
+  EXPECT_EQ(serial.action, batched.action) << label << " flow " << i;
+  EXPECT_EQ(serial.keep_state, batched.keep_state) << label << " flow " << i;
+  EXPECT_EQ(serial.quick, batched.quick) << label << " flow " << i;
+  EXPECT_EQ(serial.log, batched.log) << label << " flow " << i;
+  EXPECT_EQ(serial.rule, batched.rule)
+      << label << " flow " << i << ": matched-rule pointer diverged";
+}
+
 /// Serial oracle, then batch, on the SAME engine (so matched-rule pointers
 /// are comparable), asserting verdict identity and the cross-mode stats
 /// invariants.
@@ -62,13 +75,7 @@ void expect_batch_matches_serial(const PolicyEngine& engine,
 
   ASSERT_EQ(serial.size(), batched.size()) << label;
   for (std::size_t i = 0; i < serial.size(); ++i) {
-    EXPECT_EQ(serial[i].action, batched[i].action) << label << " flow " << i;
-    EXPECT_EQ(serial[i].keep_state, batched[i].keep_state)
-        << label << " flow " << i;
-    EXPECT_EQ(serial[i].quick, batched[i].quick) << label << " flow " << i;
-    EXPECT_EQ(serial[i].log, batched[i].log) << label << " flow " << i;
-    EXPECT_EQ(serial[i].rule, batched[i].rule)
-        << label << " flow " << i << ": matched-rule pointer diverged";
+    expect_same_verdict(serial[i], batched[i], label, i);
   }
 
   const StatsDelta ds = delta(s1, s0);
@@ -83,6 +90,47 @@ void expect_batch_matches_serial(const PolicyEngine& engine,
       << label;
   EXPECT_EQ(ds.prefilter_skips, 0u) << label;
   EXPECT_EQ(ds.hoist_memo_hits, 0u) << label;
+}
+
+/// Every context of `batch` as its own one-flow batch — the shape of every
+/// ready flow the controller decides — against the serial oracle:
+/// verdict, matched-rule pointer, PolicyError parity and the stats
+/// invariants.  A lone flow shares nothing, so the hoist memo never hits.
+void expect_one_flow_batches_match_serial(const PolicyEngine& engine,
+                                          const std::vector<FlowContext>& batch,
+                                          const char* label) {
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    const EngineStats s0 = engine.stats();
+    std::optional<Verdict> serial;
+    try {
+      serial = engine.evaluate(batch[i]);
+    } catch (const PolicyError&) {
+    }
+    const EngineStats s1 = engine.stats();
+    std::optional<Verdict> batched;
+    try {
+      const std::vector<Verdict> verdicts =
+          engine.evaluate_batch(std::span<const FlowContext>(&batch[i], 1));
+      ASSERT_EQ(verdicts.size(), 1u) << label << " flow " << i;
+      batched = verdicts.front();
+    } catch (const PolicyError&) {
+    }
+    const EngineStats s2 = engine.stats();
+
+    ASSERT_EQ(serial.has_value(), batched.has_value())
+        << label << " flow " << i << ": PolicyError parity";
+    if (!serial) continue;
+    expect_same_verdict(*serial, *batched, label, i);
+    const StatsDelta ds = delta(s1, s0);
+    const StatsDelta db = delta(s2, s1);
+    EXPECT_EQ(ds.evaluations, 1u) << label << " flow " << i;
+    EXPECT_EQ(db.evaluations, 1u) << label << " flow " << i;
+    EXPECT_EQ(ds.rules_scanned, db.rules_scanned + db.prefilter_skips)
+        << label << " flow " << i;
+    EXPECT_EQ(ds.functions_called, db.functions_called + db.hoist_memo_hits)
+        << label << " flow " << i;
+    EXPECT_EQ(db.hoist_memo_hits, 0u) << label << " flow " << i;
+  }
 }
 
 // ------------------------------------------------------------ differential
@@ -211,6 +259,7 @@ TEST(BatchDifferential, RandomRulesetsAndBatchesMatchSerialOracle) {
       if (rng() % 5 == 0) batch.push_back(ctx);
     }
     expect_batch_matches_serial(engine, batch, "differential");
+    expect_one_flow_batches_match_serial(engine, batch, "one-flow");
   }
 }
 

@@ -219,31 +219,6 @@ TEST(ShardedScenario, ResultInvariantAcrossShardAndWorkerCounts) {
   }
 }
 
-TEST(ShardedScenario, ResultInvariantWithBatchedEvalOnAndOff) {
-  // Batched PF evaluation (DESIGN.md §11) is a pure optimization: a run
-  // with evaluate_batch routed through decide_many must be equivalent_to a
-  // run with the serial per-flow oracle, at any shard count.
-  const Scenario scenario = Scenario::parse(kScenario);
-  ScenarioOptions batched;  // config.batch_policy_eval defaults to true
-  const auto base = scenario.run(batched);
-  EXPECT_TRUE(base.ok());
-
-  for (const std::uint32_t shards : {0u, 1u, 4u}) {
-    ScenarioOptions serial;
-    serial.shards = shards;
-    serial.config.batch_policy_eval = false;
-    const auto result = scenario.run(serial);
-    EXPECT_TRUE(result.ok()) << "shards=" << shards;
-    EXPECT_TRUE(result.equivalent_to(base)) << "serial eval, shards=" << shards;
-
-    ScenarioOptions rebatched;
-    rebatched.shards = shards;
-    rebatched.config.batch_policy_eval = true;
-    EXPECT_TRUE(scenario.run(rebatched).equivalent_to(base))
-        << "batched eval, shards=" << shards;
-  }
-}
-
 TEST(ShardedScenario, IdenticalSeedsReplayIdentically) {
   const Scenario scenario = Scenario::parse(kScenario);
   ScenarioOptions a;

@@ -27,11 +27,12 @@
 //                  false), keeping the admission path clear of data-plane
 //                  bottleneck links in congestion scenarios
 //
-// Congestion knobs mirror identxx_sim: --k-paths, --link-bw, --queue-depth,
-// --traffic.  Fault/robustness knobs (DESIGN.md §14) mirror identxx_sim
-// too: --chan-loss, --chan-dup, --chan-delay-us, --max-retries,
-// --retry-jitter-us, --degraded-ttl-us, --probe-delay-us — fault injection
-// draws on the global lane, so faulted runs must stay schedule-invariant.
+// Congestion knobs are identxx_sim's, through the same parser
+// (scenario_flags.hpp): --k-paths, --link-bw, --queue-depth, --traffic.
+// So are the fault/robustness knobs (DESIGN.md §14): --chan-loss,
+// --chan-dup, --chan-delay-us, --max-retries, --retry-jitter-us,
+// --degraded-ttl-us, --probe-delay-us — fault injection draws on the
+// global lane, so faulted runs must stay schedule-invariant.
 
 #include <cstdio>
 #include <cstdlib>
@@ -44,6 +45,7 @@
 #include "mc/explorer.hpp"
 #include "util/error.hpp"
 #include "util/strings.hpp"
+#include "scenario_flags.hpp"
 
 namespace {
 
@@ -73,6 +75,15 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
+    switch (identxx::tools::parse_scenario_flag(argc, argv, i, options.scenario)) {
+      case identxx::tools::FlagParse::kParsed:
+        continue;
+      case identxx::tools::FlagParse::kInvalid:
+        usage();
+        return 1;
+      case identxx::tools::FlagParse::kNotShared:
+        break;
+    }
     if (const char* v = flag_value("--shards")) {
       const auto n = identxx::util::parse_u64(v);
       if (!n || *n == 0) { usage(); return 1; }
@@ -114,57 +125,6 @@ int main(int argc, char** argv) {
         usage();
         return 1;
       }
-    } else if (std::strcmp(argv[i], "--src-only") == 0) {
-      options.scenario.config.query_both_ends = false;
-    } else if (const char* v = flag_value("--traffic")) {
-      options.scenario.traffic = v;
-    } else if (const char* v = flag_value("--k-paths")) {
-      const auto n = identxx::util::parse_u64(v);
-      if (!n || *n == 0) { usage(); return 1; }
-      options.scenario.k_paths = static_cast<std::uint32_t>(*n);
-    } else if (const char* v = flag_value("--link-bw")) {
-      const auto n = identxx::util::parse_u64(v);
-      if (!n) { usage(); return 1; }
-      options.scenario.link_bandwidth_bps = *n * 1'000'000ULL;
-    } else if (const char* v = flag_value("--queue-depth")) {
-      const auto n = identxx::util::parse_u64(v);
-      if (!n) { usage(); return 1; }
-      options.scenario.queue_depth = static_cast<std::uint32_t>(*n);
-    } else if (const char* v = flag_value("--chan-loss")) {
-      char* end = nullptr;
-      options.scenario.chan_loss = std::strtod(v, &end);
-      if (end == v || *end != '\0' || options.scenario.chan_loss < 0.0 ||
-          options.scenario.chan_loss > 1.0) { usage(); return 1; }
-    } else if (const char* v = flag_value("--chan-dup")) {
-      char* end = nullptr;
-      options.scenario.chan_dup = std::strtod(v, &end);
-      if (end == v || *end != '\0' || options.scenario.chan_dup < 0.0 ||
-          options.scenario.chan_dup > 1.0) { usage(); return 1; }
-    } else if (const char* v = flag_value("--chan-delay-us")) {
-      const auto n = identxx::util::parse_u64(v);
-      if (!n) { usage(); return 1; }
-      options.scenario.chan_delay =
-          static_cast<identxx::sim::SimTime>(*n) * identxx::sim::kMicrosecond;
-    } else if (const char* v = flag_value("--max-retries")) {
-      const auto n = identxx::util::parse_u64(v);
-      if (!n) { usage(); return 1; }
-      options.scenario.config.max_query_retries =
-          static_cast<std::uint32_t>(*n);
-    } else if (const char* v = flag_value("--retry-jitter-us")) {
-      const auto n = identxx::util::parse_u64(v);
-      if (!n) { usage(); return 1; }
-      options.scenario.config.retry_jitter =
-          static_cast<identxx::sim::SimTime>(*n) * identxx::sim::kMicrosecond;
-    } else if (const char* v = flag_value("--degraded-ttl-us")) {
-      const auto n = identxx::util::parse_u64(v);
-      if (!n) { usage(); return 1; }
-      options.scenario.config.degraded_cover_ttl =
-          static_cast<identxx::sim::SimTime>(*n) * identxx::sim::kMicrosecond;
-    } else if (const char* v = flag_value("--probe-delay-us")) {
-      const auto n = identxx::util::parse_u64(v);
-      if (!n) { usage(); return 1; }
-      options.scenario.config.readmission_probe_delay =
-          static_cast<identxx::sim::SimTime>(*n) * identxx::sim::kMicrosecond;
     } else if (argv[i][0] == '-') {
       usage();
       return 1;

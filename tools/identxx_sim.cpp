@@ -45,6 +45,7 @@
 #include "sim/worker_pool.hpp"
 #include "util/error.hpp"
 #include "util/strings.hpp"
+#include "scenario_flags.hpp"
 
 namespace {
 
@@ -71,6 +72,15 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
+    switch (identxx::tools::parse_scenario_flag(argc, argv, i, options)) {
+      case identxx::tools::FlagParse::kParsed:
+        continue;
+      case identxx::tools::FlagParse::kInvalid:
+        usage();
+        return 1;
+      case identxx::tools::FlagParse::kNotShared:
+        break;
+    }
     if (const char* v = flag_value("--shards")) {
       const auto n = identxx::util::parse_u64(v);
       if (!n) { usage(); return 1; }
@@ -85,56 +95,6 @@ int main(int argc, char** argv) {
       const auto n = identxx::util::parse_u64(v);
       if (!n) { usage(); return 1; }
       options.seed = *n;
-    } else if (std::strcmp(argv[i], "--src-only") == 0) {
-      options.config.query_both_ends = false;
-    } else if (const char* v = flag_value("--traffic")) {
-      options.traffic = v;
-    } else if (const char* v = flag_value("--k-paths")) {
-      const auto n = identxx::util::parse_u64(v);
-      if (!n || *n == 0) { usage(); return 1; }
-      options.k_paths = static_cast<std::uint32_t>(*n);
-    } else if (const char* v = flag_value("--link-bw")) {
-      const auto n = identxx::util::parse_u64(v);
-      if (!n) { usage(); return 1; }
-      options.link_bandwidth_bps = *n * 1'000'000ULL;
-    } else if (const char* v = flag_value("--queue-depth")) {
-      const auto n = identxx::util::parse_u64(v);
-      if (!n) { usage(); return 1; }
-      options.queue_depth = static_cast<std::uint32_t>(*n);
-    } else if (const char* v = flag_value("--chan-loss")) {
-      char* end = nullptr;
-      options.chan_loss = std::strtod(v, &end);
-      if (end == v || *end != '\0' || options.chan_loss < 0.0 ||
-          options.chan_loss > 1.0) { usage(); return 1; }
-    } else if (const char* v = flag_value("--chan-dup")) {
-      char* end = nullptr;
-      options.chan_dup = std::strtod(v, &end);
-      if (end == v || *end != '\0' || options.chan_dup < 0.0 ||
-          options.chan_dup > 1.0) { usage(); return 1; }
-    } else if (const char* v = flag_value("--chan-delay-us")) {
-      const auto n = identxx::util::parse_u64(v);
-      if (!n) { usage(); return 1; }
-      options.chan_delay =
-          static_cast<identxx::sim::SimTime>(*n) * identxx::sim::kMicrosecond;
-    } else if (const char* v = flag_value("--max-retries")) {
-      const auto n = identxx::util::parse_u64(v);
-      if (!n) { usage(); return 1; }
-      options.config.max_query_retries = static_cast<std::uint32_t>(*n);
-    } else if (const char* v = flag_value("--retry-jitter-us")) {
-      const auto n = identxx::util::parse_u64(v);
-      if (!n) { usage(); return 1; }
-      options.config.retry_jitter =
-          static_cast<identxx::sim::SimTime>(*n) * identxx::sim::kMicrosecond;
-    } else if (const char* v = flag_value("--degraded-ttl-us")) {
-      const auto n = identxx::util::parse_u64(v);
-      if (!n) { usage(); return 1; }
-      options.config.degraded_cover_ttl =
-          static_cast<identxx::sim::SimTime>(*n) * identxx::sim::kMicrosecond;
-    } else if (const char* v = flag_value("--probe-delay-us")) {
-      const auto n = identxx::util::parse_u64(v);
-      if (!n) { usage(); return 1; }
-      options.config.readmission_probe_delay =
-          static_cast<identxx::sim::SimTime>(*n) * identxx::sim::kMicrosecond;
     } else if (argv[i][0] == '-') {
       usage();
       return 1;
