@@ -7,7 +7,6 @@
 // per-call GLV — the cold-key floor), BM_SchnorrVerifyTierSweep (registered
 // keys cold vs hot, i.e. per-call GLV vs per-key comb table),
 // BM_FixedBaseTableBuild (what a key's hot comb table costs to build),
-// BM_SchnorrBatchVerify (one multi-scalar pass per batch),
 // BM_SchnorrVerifierMemoHit (the controller-layer verification memo), and
 // BM_ScalarReduce* (folding reduction mod n vs binary long division).
 
@@ -117,51 +116,6 @@ void BM_SchnorrVerify(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SchnorrVerify);
-
-/// Batch verification of N distinct attestations from a small principal
-/// pool (a decide_many burst: a handful of daemons attest many flows).
-/// One random-linear-combination MSM settles the whole batch; compare
-/// time/N against BM_SchnorrVerifyTierSweep/1 (hot) for the per-item
-/// speedup.
-/// The pool keys register eager-hot (default tier budget) — a decide_many
-/// burst comes from registered daemons, so their key terms add comb
-/// columns on the shared chain's last 8 steps and only the 64-bit R-term
-/// streams set its length.  A memo of capacity 1 keeps every iteration's
-/// lookups missing.
-void BM_SchnorrBatchVerify(benchmark::State& state) {
-  const std::size_t n = static_cast<std::size_t>(state.range(0));
-  constexpr std::size_t kPrincipals = 4;
-  constexpr std::size_t kBatchPool = 8;
-
-  std::vector<crypto::PrivateKey> keys;
-  for (std::size_t i = 0; i < kPrincipals; ++i) {
-    keys.push_back(crypto::PrivateKey::from_seed("batch-" + std::to_string(i)));
-  }
-  std::vector<std::string> messages;
-  std::vector<std::vector<crypto::SchnorrVerifier::BatchItem>> batches(
-      kBatchPool);
-  messages.reserve(kBatchPool * n);
-  for (std::size_t b = 0; b < kBatchPool; ++b) {
-    for (std::size_t i = 0; i < n; ++i) {
-      const crypto::PrivateKey& key = keys[i % keys.size()];
-      messages.push_back("attestation-" + std::to_string(b) + "-" +
-                         std::to_string(i));
-      batches[b].push_back(crypto::SchnorrVerifier::BatchItem{
-          key.public_key(), messages.back(), key.sign(messages.back())});
-    }
-  }
-
-  crypto::SchnorrVerifier verifier(/*memo_capacity=*/1);
-  for (const auto& key : keys) verifier.register_key(key.public_key());
-
-  std::size_t b = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(verifier.verify_batch(batches[b++ % kBatchPool]));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(n));
-}
-BENCHMARK(BM_SchnorrBatchVerify)->Arg(2)->Arg(8)->Arg(64);
 
 /// The key-tier budget sweep: 256 registered principals verified
 /// round-robin under a budget that holds (0) no tables — per-call GLV,

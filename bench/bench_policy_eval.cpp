@@ -1,10 +1,9 @@
 // B2: PF+=2 policy evaluation scaling — rule-count sweeps with and without
 // `with` predicates, the `quick` short-circuit ablation (DESIGN.md §6),
-// table-membership costs, and the delegated-rules (`allowed`) path.
+// table-membership costs, compiled vs reference evaluation, and the
+// delegated-rules (`allowed`) path.
 
 #include <benchmark/benchmark.h>
-
-#include <span>
 
 #include "crypto/schnorr.hpp"
 #include "identxx/daemon_config.hpp"
@@ -72,6 +71,22 @@ void BM_EvalPrimitiveRules(benchmark::State& state) {
 }
 BENCHMARK(BM_EvalPrimitiveRules)->Arg(10)->Arg(100)->Arg(1000)->Arg(10000);
 
+// The same sweep through the compiled evaluator: no `with` call on the
+// path, so the gap to BM_EvalPrimitiveRules is the static prefilters alone.
+void BM_EvalPrimitiveRulesCompiled(benchmark::State& state) {
+  const pf::PolicyEngine engine(pf::parse(primitive_rules(state.range(0))));
+  const pf::FlowContext ctx = make_ctx();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(engine.evaluate_compiled(ctx));
+  }
+  state.counters["rules"] = static_cast<double>(state.range(0));
+}
+BENCHMARK(BM_EvalPrimitiveRulesCompiled)
+    ->Arg(10)
+    ->Arg(100)
+    ->Arg(1000)
+    ->Arg(10000);
+
 void BM_EvalWithRules(benchmark::State& state) {
   const pf::PolicyEngine engine(pf::parse(with_rules(state.range(0))));
   const pf::FlowContext ctx = make_ctx();
@@ -123,26 +138,28 @@ void BM_TableMembership(benchmark::State& state) {
 }
 BENCHMARK(BM_TableMembership)->Arg(16)->Arg(256)->Arg(4096);
 
-// ------------------------------------------------------------- batched eval
+// ------------------------------------------------------- compiled eval
 //
-// The decide_many hot path (DESIGN.md §11): a deadline batch of flows
-// through one evaluate_batch call versus the serial per-flow loop.  The
-// policy carries rule-spread (prefilter target) plus a signature-guarded
-// rule (hoisting target).  `shared` = every flow carries one attestation
-// (a flash crowd from one application — verify runs once per batch);
-// distinct = per-flow signatures (worst case for hoisting).
+// The controller's evaluator (DESIGN.md §11), pf::PolicyEngine::
+// evaluate_compiled, against the reference interpreter evaluate() on the
+// same flows, one flow per iteration.  The policy carries rule spread (the
+// static prefilters' target) plus a signature-guarded rule; each flow
+// carries its own attestation, answered from the verifier memo after the
+// first pass over the pool.
 
-struct BatchBenchFixture {
+struct EvalBenchFixture {
+  static constexpr int kFlows = 64;
+
   pf::PolicyEngine engine;
-  std::vector<pf::FlowContext> batch;
+  std::vector<pf::FlowContext> flows;
 
   static std::string policy(const std::string& pubkey_hex) {
     std::string out =
         "table <lan> { 10.0.0.0/8 }\n"
         "dict <pubkeys> { vendor : " + pubkey_hex + " }\n"
         "block all\n";
-    // Rule spread over ports the benchmark flows never hit: serial
-    // evaluation visits all of them per flow, the prefilter skips them.
+    // Rule spread over ports the benchmark flows never hit: the reference
+    // visits all of them per flow, the prefilters skip them.
     for (int i = 0; i < 24; ++i) {
       out += "pass from 172.16." + std::to_string(i) + ".0/24 to any port " +
              std::to_string(2000 + i) + "\n";
@@ -166,64 +183,45 @@ struct BatchBenchFixture {
     return r;
   }
 
-  BatchBenchFixture(std::int64_t batch_size, bool shared,
-                    const crypto::PrivateKey& key)
+  explicit EvalBenchFixture(const crypto::PrivateKey& key)
       : engine(pf::parse(policy(key.public_key().to_hex()), "bench")) {
-    const proto::Response shared_response = attestation(key, 0);
-    batch.reserve(static_cast<std::size_t>(batch_size));
-    for (std::int64_t i = 0; i < batch_size; ++i) {
+    flows.reserve(kFlows);
+    for (int i = 0; i < kFlows; ++i) {
       pf::FlowContext ctx;
       ctx.flow.src_ip = *net::Ipv4Address::parse("10.0.0.10");
       ctx.flow.dst_ip = *net::Ipv4Address::parse("10.0.2.1");
       ctx.flow.proto = net::IpProto::kTcp;
       ctx.flow.src_port = static_cast<std::uint16_t>(30000 + i);
       ctx.flow.dst_port = 80;
-      ctx.src = proto::ResponseDict(
-          shared ? shared_response : attestation(key, static_cast<int>(i)));
-      batch.push_back(std::move(ctx));
+      ctx.src = proto::ResponseDict(attestation(key, i));
+      flows.push_back(std::move(ctx));
     }
   }
 };
 
-void BM_PolicyEvalBatch(benchmark::State& state) {
+void BM_PolicyEvalCompiled(benchmark::State& state) {
   const crypto::PrivateKey key = crypto::PrivateKey::from_seed("bench");
-  BatchBenchFixture fx(state.range(0), state.range(1) != 0, key);
+  EvalBenchFixture fx(key);
+  std::size_t i = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        fx.engine.evaluate_batch(std::span<const pf::FlowContext>(fx.batch)));
+        fx.engine.evaluate_compiled(fx.flows[i++ % fx.flows.size()]));
   }
-  state.counters["batch_size"] = static_cast<double>(state.range(0));
-  state.counters["shared_attestation"] = static_cast<double>(state.range(1));
-  state.SetItemsProcessed(state.iterations() * state.range(0));
+  state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_PolicyEvalBatch)
-    ->Args({1, 1})
-    ->Args({8, 1})
-    ->Args({64, 1})
-    ->Args({8, 0})
-    ->Args({64, 0});
+BENCHMARK(BM_PolicyEvalCompiled);
 
-/// The serial oracle on identical inputs — the baseline the ≥2×-per-flow
-/// acceptance bar for batch size 64 with shared attestations is measured
-/// against.
-void BM_PolicyEvalLooped(benchmark::State& state) {
+void BM_PolicyEvalReference(benchmark::State& state) {
   const crypto::PrivateKey key = crypto::PrivateKey::from_seed("bench");
-  BatchBenchFixture fx(state.range(0), state.range(1) != 0, key);
+  EvalBenchFixture fx(key);
+  std::size_t i = 0;
   for (auto _ : state) {
-    for (const pf::FlowContext& ctx : fx.batch) {
-      benchmark::DoNotOptimize(fx.engine.evaluate(ctx));
-    }
+    benchmark::DoNotOptimize(
+        fx.engine.evaluate(fx.flows[i++ % fx.flows.size()]));
   }
-  state.counters["batch_size"] = static_cast<double>(state.range(0));
-  state.counters["shared_attestation"] = static_cast<double>(state.range(1));
-  state.SetItemsProcessed(state.iterations() * state.range(0));
+  state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_PolicyEvalLooped)
-    ->Args({1, 1})
-    ->Args({8, 1})
-    ->Args({64, 1})
-    ->Args({8, 0})
-    ->Args({64, 0});
+BENCHMARK(BM_PolicyEvalReference);
 
 void BM_DelegatedAllowed(benchmark::State& state) {
   // The allowed() path re-parses and evaluates delegated rules per call —

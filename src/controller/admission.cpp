@@ -586,71 +586,32 @@ AdmissionDecision PolicyDecisionEngine::to_decision(
   return decision;
 }
 
-std::vector<pf::Verdict> PolicyDecisionEngine::evaluate_fail_closed(
-    std::span<const pf::FlowContext> flows) const {
-  try {
-    return engine_->evaluate_batch(flows);
-  } catch (const PolicyError& e) {
-    // Administrator configuration error: fail closed.
-    if (flows.size() == 1) {
-      IDXX_LOG(kError, "controller")
-          << "policy error, blocking flow: " << e.what();
-      pf::Verdict blocked;
-      blocked.action = pf::RuleAction::kBlock;
-      return {blocked};
-    }
-    // Somewhere in a larger batch: re-run each flow alone so it fails
-    // closed on its own merits instead of one bad rule blocking the whole
-    // batch.  (The engine's EngineStats keep the aborted batch's partial
-    // work plus the re-runs' — they are work counters, see eval.hpp.)
-    IDXX_LOG(kError, "controller")
-        << "policy error in batched evaluation, re-deciding per flow: "
-        << e.what();
-    std::vector<pf::Verdict> verdicts;
-    verdicts.reserve(flows.size());
-    for (std::size_t i = 0; i < flows.size(); ++i) {
-      verdicts.push_back(evaluate_fail_closed(flows.subspan(i, 1)).front());
-    }
-    return verdicts;
-  }
-}
-
 AdmissionDecision PolicyDecisionEngine::decide(const AdmissionContext& ctx) {
   const pf::FlowContext flow_ctx = make_flow_context(ctx);
-  return to_decision(evaluate_fail_closed({&flow_ctx, 1}).front());
+  try {
+    return to_decision(engine_->evaluate_compiled(flow_ctx));
+  } catch (const PolicyError& e) {
+    // Administrator configuration error: fail closed.
+    IDXX_LOG(kError, "controller")
+        << "policy error, blocking flow: " << e.what();
+    pf::Verdict blocked;
+    blocked.action = pf::RuleAction::kBlock;
+    return to_decision(blocked);
+  }
 }
 
 std::vector<AdmissionDecision> PolicyDecisionEngine::decide_many(
     const std::vector<const AdmissionContext*>& batch) {
+  if (batch.size() == 1) return {decide(*batch.front())};  // a ready flow
+  // Repeat packet-ins for the same undecided flow land in one batch when a
+  // shared deadline fires; decide each distinct 5-tuple once, in order.
   std::vector<AdmissionDecision> out;
   out.reserve(batch.size());
-  if (batch.size() == 1) {
-    // A ready flow: nothing to dedupe.
-    out.push_back(decide(*batch.front()));
-    return out;
-  }
-  // Repeat packet-ins for the same undecided flow land in one batch when a
-  // shared deadline fires; evaluate each distinct 5-tuple once, through
-  // one evaluate_batch over the distinct flows: static prefilters probed
-  // per 5-tuple, flow-invariant `with` predicates hoisted across the batch
-  // (DESIGN.md §11).
-  std::unordered_map<net::FiveTuple, std::size_t> memo;
-  std::vector<pf::FlowContext> flow_ctxs;
-  std::vector<std::size_t> slot_of;  // batch position -> distinct index
-  flow_ctxs.reserve(batch.size());
-  slot_of.reserve(batch.size());
+  std::unordered_map<net::FiveTuple, std::size_t> first;  // -> index in out
   for (const AdmissionContext* ctx : batch) {
-    const auto [it, inserted] = memo.try_emplace(ctx->flow, flow_ctxs.size());
-    if (inserted) flow_ctxs.push_back(make_flow_context(*ctx));
-    slot_of.push_back(it->second);
+    const auto [it, inserted] = first.try_emplace(ctx->flow, out.size());
+    out.push_back(inserted ? decide(*ctx) : out[it->second]);
   }
-
-  std::vector<AdmissionDecision> decisions;
-  decisions.reserve(flow_ctxs.size());
-  for (const pf::Verdict& verdict : evaluate_fail_closed(flow_ctxs)) {
-    decisions.push_back(to_decision(verdict));
-  }
-  for (const std::size_t slot : slot_of) out.push_back(decisions[slot]);
   return out;
 }
 

@@ -426,13 +426,12 @@ class PolicyDecisionEngine : public DecisionEngine {
   PolicyDecisionEngine(pf::Ruleset ruleset, pf::FunctionRegistry registry,
                        bool honor_keep_state = true);
 
-  /// One flow as a one-flow pf::PolicyEngine::evaluate_batch.
+  /// One flow through pf::PolicyEngine::evaluate_compiled, failing
+  /// closed (block) on PolicyError.
   AdmissionDecision decide(const AdmissionContext& ctx) override;
-  /// A batch of one is decide().  A larger batch is memoized by 5-tuple,
-  /// and the distinct flows are decided through one evaluate_batch call
-  /// (prefilter probing + hoisted predicates, DESIGN.md §11).  On
-  /// PolicyError each distinct flow is re-run as its own one-flow batch so
-  /// it fails closed alone.
+  /// decide() on each distinct 5-tuple of the batch, in order; repeat
+  /// packet-ins of one flow share its decision (DESIGN.md §11).  A
+  /// PolicyError blocks only the flow that hit it.
   std::vector<AdmissionDecision> decide_many(
       const std::vector<const AdmissionContext*>& batch) override;
 
@@ -457,9 +456,6 @@ class PolicyDecisionEngine : public DecisionEngine {
   [[nodiscard]] pf::FlowContext make_flow_context(
       const AdmissionContext& ctx) const;
   [[nodiscard]] AdmissionDecision to_decision(const pf::Verdict& verdict) const;
-  /// evaluate_batch, failing closed (block) per flow on PolicyError.
-  [[nodiscard]] std::vector<pf::Verdict> evaluate_fail_closed(
-      std::span<const pf::FlowContext> flows) const;
 
   std::unique_ptr<pf::PolicyEngine> engine_;
   bool honor_keep_state_ = true;

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstdlib>
-#include <queue>
+#include <utility>
 #include <vector>
 
 namespace identxx::crypto {
@@ -120,8 +120,7 @@ U256 fp_from_wide(const std::uint64_t r0, const std::uint64_t r1,
 /// Width-w wNAF digit string, least-significant first: digits are zero or
 /// odd in (-2^(w-1), 2^(w-1)), and any two nonzero digits are at least w
 /// apart.  `k` must be < n (so the in-place adjustments cannot overflow
-/// 256 bits).  Returns the digit count (<= 258).  Width 2 is plain NAF
-/// (digits +-1, no table beyond the point itself).
+/// 256 bits).  Returns the digit count (<= 258).
 unsigned wnaf(U256 k, unsigned width, std::array<std::int8_t, 258>& digits) noexcept {
   const std::uint64_t mask = (1ULL << width) - 1;
   const std::uint64_t half = 1ULL << (width - 1);
@@ -150,17 +149,6 @@ void negate_digits(std::array<std::int8_t, 258>& digits, unsigned len) noexcept 
   for (unsigned i = 0; i < len; ++i) {
     digits[i] = static_cast<std::int8_t>(-digits[i]);
   }
-}
-
-/// Odd multiples {1P, 3P, ..., 15P} in Jacobian coordinates.
-std::array<JacobianPoint, 8> odd_multiples(const AffinePoint& p) noexcept {
-  std::array<JacobianPoint, 8> tab;
-  tab[0] = JacobianPoint::from_affine(p);
-  const JacobianPoint p2 = ec_double(tab[0]);
-  for (std::size_t i = 1; i < tab.size(); ++i) {
-    tab[i] = ec_add(tab[i - 1], p2);
-  }
-  return tab;
 }
 
 /// add-2007-bl, additionally reporting the Z-ratio: Z3 == Z1 * zr.  Used
@@ -273,20 +261,6 @@ U256 mul_shift_384(const U256& a, const U256& b) noexcept {
   return q;
 }
 
-/// psi applied entry-wise to a Jacobian table: (X, Y, Z) -> (beta*X, Y, Z),
-/// since x = X/Z^2 maps to beta*X/Z^2.
-std::array<JacobianPoint, 8> endo_table(
-    const std::array<JacobianPoint, 8>& tab) noexcept {
-  const U256& beta = glv_consts().beta;
-  std::array<JacobianPoint, 8> out;
-  for (std::size_t i = 0; i < tab.size(); ++i) {
-    out[i] = tab[i].is_identity()
-                 ? tab[i]
-                 : JacobianPoint{fp_mul(tab[i].x, beta), tab[i].y, tab[i].z};
-  }
-  return out;
-}
-
 /// psi applied entry-wise to a (common-Z) affine table: x -> beta*x.
 std::array<AffinePoint, 8> endo_table_affine(
     const std::array<AffinePoint, 8>& tab) noexcept {
@@ -329,9 +303,9 @@ const GlvGenTables& glv_generator_tables() {
   return tabs;
 }
 
-/// One signed-wNAF digit stream over a table of odd multiples (affine ->
-/// mixed additions, Jacobian -> full additions).
-struct DigitStreamA {
+/// One signed-wNAF digit stream over a table of affine odd multiples
+/// (every addition mixed).
+struct DigitStream {
   const AffinePoint* tab;
   const std::array<std::int8_t, 258>* d;
   unsigned len;
@@ -342,11 +316,6 @@ struct DigitStreamA {
   const U256* lift_z2 = nullptr;
   const U256* lift_z3 = nullptr;
 };
-struct DigitStreamJ {
-  const JacobianPoint* tab;
-  const std::array<std::int8_t, 258>* d;
-  unsigned len;
-};
 
 /// A comb-table term k * table.base(), k reduced mod n.
 using CombTerm = std::pair<const FixedBaseTable*, U256>;
@@ -355,13 +324,11 @@ using CombTerm = std::pair<const FixedBaseTable*, U256>;
 /// stream, every stream contributing its digit additions along the way.
 /// Comb terms add their column-j digits at step j, so any comb term
 /// stretches the chain to at least kColumns steps.
-JacobianPoint strauss_walk(const DigitStreamA* as, std::size_t na,
-                           const DigitStreamJ* js, std::size_t nj,
+JacobianPoint strauss_walk(const DigitStream* as, std::size_t na,
                            const CombTerm* cs = nullptr,
                            std::size_t nc = 0) noexcept {
   unsigned len = nc != 0 ? FixedBaseTable::kColumns : 0;
   for (std::size_t s = 0; s < na; ++s) len = std::max(len, as[s].len);
-  for (std::size_t s = 0; s < nj; ++s) len = std::max(len, js[s].len);
   JacobianPoint acc = JacobianPoint::identity();
   for (int i = static_cast<int>(len) - 1; i >= 0; --i) {
     acc = ec_double(acc);
@@ -377,74 +344,12 @@ JacobianPoint strauss_walk(const DigitStreamA* as, std::size_t na,
       }
       acc = ec_add_mixed(acc, d > 0 ? e : ec_negate(e));
     }
-    for (std::size_t s = 0; s < nj; ++s) {
-      if (idx >= js[s].len) continue;
-      const int d = (*js[s].d)[idx];
-      if (d > 0) {
-        acc = ec_add(acc, js[s].tab[static_cast<std::size_t>((d - 1) / 2)]);
-      } else if (d < 0) {
-        acc = ec_add(acc,
-                     ec_negate(js[s].tab[static_cast<std::size_t>((-d - 1) / 2)]));
-      }
-    }
     if (idx < FixedBaseTable::kColumns) {
       for (std::size_t c = 0; c < nc; ++c) {
         acc = cs[c].first->add_column(acc, cs[c].second,
                                       static_cast<unsigned>(idx));
       }
     }
-  }
-  return acc;
-}
-
-/// Below this many short terms, independent NAF streams on the shared
-/// doubling chain are cheaper than Bos–Coster's full Jacobian additions
-/// (mixed adds win until the ~b/lg N step count pulls ahead).
-constexpr std::size_t kBosCosterMin = 16;
-
-/// Sum of k_i * P_i for nonzero 64-bit scalars by Bos–Coster reduction:
-/// pop the two largest terms (k1, P1) >= (k2, P2) and replace them with
-/// (k1 - k2, P1), (k2, P1 + P2) — one point addition per step, no
-/// doubling chain and no recoding.  Uniform 64-bit coefficients (the
-/// batch-verification z's) settle in ~b/lg N additions per term: ~12 at
-/// N = 64 against ~22 for independent width-2 NAF streams.  A ratio
-/// guard peels degenerate stragglers (k1 >= 32 k2) by double-and-add so
-/// a skewed scalar spread cannot blow up the step count.
-JacobianPoint bos_coster(
-    std::vector<std::pair<std::uint64_t, JacobianPoint>> terms) noexcept {
-  JacobianPoint acc = JacobianPoint::identity();
-  const auto peel = [&acc](std::uint64_t k, const JacobianPoint& p) {
-    JacobianPoint r = JacobianPoint::identity();
-    for (int b = 63 - std::countl_zero(k); b >= 0; --b) {
-      r = ec_double(r);
-      if ((k >> b) & 1) r = ec_add(r, p);
-    }
-    acc = ec_add(acc, r);
-  };
-  std::vector<std::pair<std::uint64_t, std::uint32_t>> entries;
-  entries.reserve(terms.size());
-  for (std::uint32_t i = 0; i < terms.size(); ++i) {
-    entries.emplace_back(terms[i].first, i);
-  }
-  // Heapify in O(n) instead of n log-pushes.
-  std::priority_queue<std::pair<std::uint64_t, std::uint32_t>> heap(
-      std::less<std::pair<std::uint64_t, std::uint32_t>>{}, std::move(entries));
-  while (!heap.empty()) {
-    const auto [k1, i1] = heap.top();
-    heap.pop();
-    if (heap.empty()) {
-      peel(k1, terms[i1].second);
-      break;
-    }
-    const auto [k2, i2] = heap.top();
-    if (k1 / k2 >= 32) {
-      peel(k1, terms[i1].second);
-      continue;
-    }
-    // (k2, i2) stays in the heap untouched — its key does not change, only
-    // the point behind i2, so a peek (no pop/re-push) suffices.
-    terms[i2].second = ec_add(terms[i2].second, terms[i1].second);
-    if (k1 - k2 != 0) heap.emplace(k1 - k2, i1);
   }
   return acc;
 }
@@ -698,20 +603,6 @@ U256 sn_sub(const U256& a, const U256& b) noexcept {
 }
 
 U256 sn_mul(const U256& a, const U256& b) noexcept {
-  if ((b.w[1] | b.w[2] | b.w[3]) == 0) {
-    // 256 x 64 (the batch RLC coefficients): four products instead of the
-    // full school-book multiply.
-    const std::uint64_t k = b.w[0];
-    U512 p{};
-    u128 c = 0;
-    for (std::size_t i = 0; i < 4; ++i) {
-      c += static_cast<u128>(a.w[i]) * k;
-      p.w[i] = static_cast<std::uint64_t>(c);
-      c >>= 64;
-    }
-    p.w[4] = static_cast<std::uint64_t>(c);
-    return sn_reduce(p);
-  }
   return sn_reduce(U256::mul_wide(a, b));
 }
 
@@ -912,7 +803,7 @@ JacobianPoint FixedBaseTable::add_column(JacobianPoint acc, const U256& k,
 
 JacobianPoint FixedBaseTable::mul(const U256& k) const noexcept {
   const CombTerm term{this, sn_reduce(k)};
-  return strauss_walk(nullptr, 0, nullptr, 0, &term, 1);
+  return strauss_walk(nullptr, 0, &term, 1);
 }
 
 const FixedBaseTable& FixedBaseTable::generator() {
@@ -929,7 +820,7 @@ JacobianPoint ec_mul_add(const U256& a, const U256& b,
   // Both bases are comb tables: their columns share one 7-doubling chain.
   const CombTerm terms[2] = {{&FixedBaseTable::generator(), sn_reduce(a)},
                              {&p_table, sn_reduce(b)}};
-  return strauss_walk(nullptr, 0, nullptr, 0, terms, 2);
+  return strauss_walk(nullptr, 0, terms, 2);
 }
 
 bool ec_equals_affine(const JacobianPoint& p, const AffinePoint& q) noexcept {
@@ -944,22 +835,6 @@ bool ec_equals_affine(const JacobianPoint& p, const AffinePoint& q) noexcept {
 AffinePoint ec_negate(const AffinePoint& p) noexcept {
   if (p.infinity) return p;
   return AffinePoint{p.x, fp_sub(U256{}, p.y), false};
-}
-
-JacobianPoint ec_negate(const JacobianPoint& p) noexcept {
-  if (p.is_identity()) return p;
-  return JacobianPoint{p.x, fp_sub(U256{}, p.y), p.z};
-}
-
-bool ec_equals(const JacobianPoint& p, const JacobianPoint& q) noexcept {
-  if (p.is_identity() || q.is_identity()) {
-    return p.is_identity() == q.is_identity();
-  }
-  // X1/Z1^2 == X2/Z2^2 and Y1/Z1^3 == Y2/Z2^3, cross-multiplied.
-  const U256 z1z1 = fp_sqr(p.z);
-  const U256 z2z2 = fp_sqr(q.z);
-  if (fp_mul(p.x, z2z2) != fp_mul(q.x, z1z1)) return false;
-  return fp_mul(p.y, fp_mul(z2z2, q.z)) == fp_mul(q.y, fp_mul(z1z1, p.z));
 }
 
 // ---- GLV ----
@@ -1003,9 +878,9 @@ JacobianPoint ec_mul_glv(const U256& k, const AffinePoint& p) noexcept {
   const unsigned l2 = wnaf(s.k2, 5, d2);
   if (s.neg1) negate_digits(d1, l1);
   if (s.neg2) negate_digits(d2, l2);
-  const DigitStreamA as[2] = {{ptab.data(), &d1, l1},
+  const DigitStream as[2] = {{ptab.data(), &d1, l1},
                               {psitab.data(), &d2, l2}};
-  JacobianPoint acc = strauss_walk(as, 2, nullptr, 0);
+  JacobianPoint acc = strauss_walk(as, 2);
   acc.z = fp_mul(acc.z, zc);  // leave the iso-curve (identity: z stays 0)
   return acc;
 }
@@ -1040,101 +915,13 @@ JacobianPoint ec_mul_add_glv(const U256& a, const U256& b,
   // The P table carries a common denominator; the static G tables are
   // lifted onto the same iso-curve digit-by-digit (+2 muls per addition),
   // so every addition on the chain is mixed.
-  const DigitStreamA as[4] = {{gt.g.data(), &da1, la1, &zc2, &zc3},
+  const DigitStream as[4] = {{gt.g.data(), &da1, la1, &zc2, &zc3},
                               {gt.psi.data(), &da2, la2, &zc2, &zc3},
                               {ptab.data(), &db1, lb1},
                               {psitab.data(), &db2, lb2}};
-  JacobianPoint acc = strauss_walk(as, 4, nullptr, 0);
+  JacobianPoint acc = strauss_walk(as, 4);
   acc.z = fp_mul(acc.z, zc);  // leave the iso-curve (identity: z stays 0)
   return acc;
-}
-
-// ---- EcMsm ----
-
-void EcMsm::push_stream(const AffinePoint* atab, const JacobianPoint* jtab,
-                        const U256& k, unsigned width, bool negate) {
-  Stream s;
-  s.atab = atab;
-  s.jtab = jtab;
-  s.len = wnaf(k, width, s.d);
-  if (negate) negate_digits(s.d, s.len);
-  if (s.len != 0) streams_.push_back(std::move(s));
-}
-
-void EcMsm::add_base(const U256& k) {
-  base_scalar_ = sn_add(base_scalar_, sn_reduce(k));
-}
-
-void EcMsm::add_comb(const FixedBaseTable& table, const U256& k) {
-  const U256 kr = sn_reduce(k);
-  if (!kr.is_zero()) combs_.emplace_back(&table, kr);
-}
-
-void EcMsm::add_glv(const AffinePoint& p, const U256& k) {
-  const U256 kr = sn_reduce(k);
-  if (kr.is_zero() || p.infinity) return;
-  const GlvSplit s = glv_split(kr);
-  owned_jac_.push_back(odd_multiples(p));
-  const JacobianPoint* ptab = owned_jac_.back().data();
-  owned_jac_.push_back(endo_table(owned_jac_.back()));
-  const JacobianPoint* psitab = owned_jac_.back().data();
-  push_stream(nullptr, ptab, s.k1, 5, s.neg1);
-  push_stream(nullptr, psitab, s.k2, 5, s.neg2);
-}
-
-void EcMsm::add_naf(const AffinePoint& p, const U256& k) {
-  const U256 kr = sn_reduce(k);
-  if (kr.is_zero() || p.infinity) return;
-  if ((kr.w[1] | kr.w[2] | kr.w[3]) == 0) {
-    short_terms_.emplace_back(kr.w[0], p);
-    return;
-  }
-  owned_affine_.push_back(p);
-  push_stream(&owned_affine_.back(), nullptr, kr, 2, false);
-}
-
-JacobianPoint EcMsm::result() const {
-  // Short terms: enough of them amortize into a Bos–Coster reduction;
-  // a handful ride the shared chain as width-2 NAF streams instead.
-  JacobianPoint short_sum = JacobianPoint::identity();
-  std::vector<Stream> short_streams;
-  if (short_terms_.size() >= kBosCosterMin) {
-    std::vector<std::pair<std::uint64_t, JacobianPoint>> terms;
-    terms.reserve(short_terms_.size());
-    for (const auto& [k, p] : short_terms_) {
-      terms.emplace_back(k, JacobianPoint::from_affine(p));
-    }
-    short_sum = bos_coster(std::move(terms));
-  } else {
-    short_streams.reserve(short_terms_.size());
-    for (const auto& [k, p] : short_terms_) {
-      Stream s;
-      s.atab = &p;
-      s.len = wnaf(U256{k}, 2, s.d);
-      short_streams.push_back(std::move(s));
-    }
-  }
-
-  std::vector<DigitStreamA> as;
-  std::vector<DigitStreamJ> js;
-  as.reserve(streams_.size() + short_streams.size());
-  for (const Stream& s : streams_) {
-    if (s.atab != nullptr) {
-      as.push_back(DigitStreamA{s.atab, &s.d, s.len});
-    } else {
-      js.push_back(DigitStreamJ{s.jtab, &s.d, s.len});
-    }
-  }
-  for (const Stream& s : short_streams) {
-    as.push_back(DigitStreamA{s.atab, &s.d, s.len});
-  }
-  std::vector<CombTerm> combs = combs_;
-  if (!base_scalar_.is_zero()) {
-    combs.emplace_back(&FixedBaseTable::generator(), base_scalar_);
-  }
-  return ec_add(strauss_walk(as.data(), as.size(), js.data(), js.size(),
-                             combs.data(), combs.size()),
-                short_sum);
 }
 
 }  // namespace identxx::crypto

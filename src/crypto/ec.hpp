@@ -23,10 +23,6 @@
 
 #include <array>
 #include <cstddef>
-#include <deque>
-#include <optional>
-#include <utility>
-#include <vector>
 
 #include "crypto/u256.hpp"
 
@@ -174,13 +170,8 @@ class FixedBaseTable {
 [[nodiscard]] bool ec_equals_affine(const JacobianPoint& p,
                                     const AffinePoint& q) noexcept;
 
-/// p == q with both sides projective (cross-multiplied, no inversion).
-[[nodiscard]] bool ec_equals(const JacobianPoint& p,
-                             const JacobianPoint& q) noexcept;
-
 /// Point negation (x, -y).
 [[nodiscard]] AffinePoint ec_negate(const AffinePoint& p) noexcept;
-[[nodiscard]] JacobianPoint ec_negate(const JacobianPoint& p) noexcept;
 
 // ---- GLV endomorphism (DESIGN.md §15) ----
 //
@@ -213,7 +204,7 @@ struct GlvSplit {
 [[nodiscard]] AffinePoint ec_endomorphism(const AffinePoint& p) noexcept;
 
 /// k * P via the GLV split: two half-width wNAF streams over per-call
-/// Jacobian tables for P and psi(P), one ~130-double chain.
+/// common-Z tables for P and psi(P), one ~130-double chain.
 [[nodiscard]] JacobianPoint ec_mul_glv(const U256& k,
                                        const AffinePoint& p) noexcept;
 
@@ -224,49 +215,5 @@ struct GlvSplit {
 /// all, and no field inversion anywhere on the path.
 [[nodiscard]] JacobianPoint ec_mul_add_glv(const U256& a, const U256& b,
                                            const AffinePoint& p) noexcept;
-
-/// Multi-scalar multiplication accumulator for batch verification: stage
-/// terms, then result() computes the sum with ONE doubling chain shared by
-/// every wNAF stream.  Comb-table and base terms add their column-j digits
-/// at step j of that chain, so they cost no doublings of their own (the
-/// chain runs at least kColumns steps when any are staged).
-///
-///   Sum = base*G + sum(comb terms) + sum(glv terms) + sum(naf terms)
-class EcMsm {
- public:
-  /// += k * G (aggregated into one generator comb term).
-  void add_base(const U256& k);
-  /// += k * table.base() via its comb (hot-tier keys).
-  void add_comb(const FixedBaseTable& table, const U256& k);
-  /// += k * p via GLV over per-call Jacobian tables (cold keys).
-  void add_glv(const AffinePoint& p, const U256& k);
-  /// += k * p directly — no table build; the right call for short
-  /// scalars (batch-verification R terms, |k| ~ 2^64).  Terms whose
-  /// reduced scalar fits in 64 bits are held back and, once enough of
-  /// them accumulate, summed by Bos–Coster reduction at result();
-  /// smaller counts (and wider scalars) walk plain NAF streams.
-  void add_naf(const AffinePoint& p, const U256& k);
-
-  [[nodiscard]] JacobianPoint result() const;
-
- private:
-  struct Stream {
-    const AffinePoint* atab = nullptr;    ///< odd multiples (mixed adds)...
-    const JacobianPoint* jtab = nullptr;  ///< ...or Jacobian (full adds)
-    std::array<std::int8_t, 258> d{};
-    unsigned len = 0;
-  };
-
-  void push_stream(const AffinePoint* atab, const JacobianPoint* jtab,
-                   const U256& k, unsigned width, bool negate);
-
-  U256 base_scalar_{};
-  std::vector<Stream> streams_;
-  std::vector<std::pair<const FixedBaseTable*, U256>> combs_;
-  std::deque<AffinePoint> owned_affine_;                  ///< naf term points
-  std::deque<std::array<JacobianPoint, 8>> owned_jac_;    ///< cold glv tables
-  /// naf terms with scalars < 2^64 — Bos–Coster candidates.
-  std::vector<std::pair<std::uint64_t, AffinePoint>> short_terms_;
-};
 
 }  // namespace identxx::crypto

@@ -71,8 +71,7 @@ class KeyTierStore {
   /// Record `uses` verifications against `point` and return its (possibly
   /// just-promoted) comb table, or null while the key is cold.  Unknown
   /// points are cold and stay untracked.  The shared_ptr keeps the table
-  /// alive even if a later use() on another key evicts it (batch
-  /// verification touches many keys before multiplying).
+  /// alive even if a later use() on another key evicts it.
   std::shared_ptr<const FixedBaseTable> use(const AffinePoint& point,
                                             std::uint64_t uses = 1);
 

@@ -91,21 +91,20 @@ class PrivateKey {
 /// The same check with the challenge e already computed and, optionally,
 /// the key's comb table: with `hot` the multiplication is two comb walks
 /// on one shared 7-doubling chain, without it the per-call GLV pass.  SchnorrVerifier calls
-/// this — the memo keys on e and batch verification folds z_i * e_i, so
-/// the message is hashed exactly once per verification.
+/// this — the memo keys on e, so the message is hashed exactly once per
+/// verification.
 [[nodiscard]] bool verify_tiered(const PublicKey& key,
                                  const FixedBaseTable* hot, const U256& e,
                                  const Signature& sig) noexcept;
 
 /// The Schnorr challenge e = H(Rx || Ry || Px || Py || m) mod n.  Exposed
-/// for batch verification, which folds z_i * e_i into one multi-scalar
-/// multiplication instead of calling verify() per signature.
+/// for SchnorrVerifier's memo key and the constant-time signer.
 [[nodiscard]] U256 schnorr_challenge(const AffinePoint& r,
                                      const AffinePoint& p,
                                      std::span<const std::uint8_t> message) noexcept;
 
-/// Structural signature checks shared by single and batch verification:
-/// R on curve and not the identity, s in [1, n-1].
+/// Structural signature checks every verification runs first: R on curve
+/// and not the identity, s in [1, n-1].
 [[nodiscard]] bool signature_well_formed(const Signature& sig) noexcept;
 
 /// Hash-to-scalar helper: SHA-256(data) reduced mod n.

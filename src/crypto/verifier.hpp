@@ -1,13 +1,12 @@
 #pragma once
 
-// SchnorrVerifier: tiered registered-key tables + memoized verification +
-// batch verification.
+// SchnorrVerifier: tiered registered-key tables + memoized verification.
 //
 // The flow-setup hot path verifies one signature per daemon attestation,
 // and the same attestation recurs constantly: retransmitted responses,
-// several flows from one application inside a decide_many batch, repeat
-// packet-ins for an undecided flow.  This wrapper adds three layers on top
-// of crypto::verify (DESIGN.md §9, §15):
+// several flows from one application, repeat packet-ins for an undecided
+// flow.  This wrapper adds two layers on top of crypto::verify
+// (DESIGN.md §9, §15):
 //
 //   * a tiered key registry — register_key() tracks a long-lived public key
 //     in a memory-budgeted KeyTierStore, the only owner of per-key
@@ -17,35 +16,24 @@
 //     table memory only on the keys that sign every flow;
 //   * a bounded LRU memo of (key, challenge, signature) -> bool, so a
 //     byte-identical attestation verifies exactly once per retention
-//     window;
-//   * verify_batch() — random-linear-combination batch verification: N
-//     distinct attestations are checked with one multi-scalar
-//     multiplication instead of N full verifies.  A rejected batch is
-//     bisected (with the same coefficients) down to ground-truth single
-//     verifies, so per-item verdicts are always exact and a forged
-//     signature can never hide behind the aggregate.
+//     window.
 //
 // Soundness of the memo: the key is part of the memo identity (the entry
 // binds the *value* of the key, not a name), so a daemon rotating its key
 // can never be served a verdict computed under the old key.  Re-registering
 // or invalidating a key additionally bumps its generation, which makes
 // every memo entry recorded under the old generation unreachable — they
-// age out of the LRU like any cold entry.  Batch verification feeds the
-// same memo with the same identity format.
+// age out of the LRU like any cold entry.
 
-#include <array>
 #include <cstdint>
 #include <list>
-#include <memory>
 #include <span>
 #include <string_view>
 #include <unordered_map>
-#include <vector>
 
 #include "crypto/key_id.hpp"
 #include "crypto/key_tier.hpp"
 #include "crypto/schnorr.hpp"
-#include "crypto/sha256.hpp"
 
 namespace identxx::crypto {
 
@@ -54,26 +42,16 @@ class SchnorrVerifier {
   static constexpr std::size_t kDefaultMemoCapacity = 4096;
 
   struct Stats {
-    std::uint64_t verifications = 0;  ///< verify() calls + batch items
+    std::uint64_t verifications = 0;  ///< verify() calls
     std::uint64_t memo_hits = 0;
     std::uint64_t memo_misses = 0;
     std::uint64_t memo_evictions = 0;
     std::uint64_t table_verifications = 0;  ///< served via a hot comb table
     std::uint64_t cold_verifications = 0;   ///< registered but tableless
-    std::uint64_t batch_calls = 0;          ///< verify_batch() invocations
-    std::uint64_t batch_items = 0;          ///< items settled by an RLC check
-    std::uint64_t batch_msms = 0;           ///< multi-scalar passes (incl. bisection)
-    std::uint64_t batch_rejects = 0;        ///< batches that fell back to bisection
   };
 
-  /// One attestation inside a verify_batch() call.  `message` must stay
-  /// alive for the duration of the call.
-  struct BatchItem {
-    PublicKey key;
-    std::string_view message;
-    Signature sig;
-  };
-
+  /// `memo_capacity` is clamped to at least 1: a verifier always keeps
+  /// its most recent verdict, so `SchnorrVerifier(0)` holds one entry.
   explicit SchnorrVerifier(std::size_t memo_capacity = kDefaultMemoCapacity,
                            const KeyTierConfig& tier_config = {})
       : memo_capacity_(memo_capacity == 0 ? 1 : memo_capacity),
@@ -92,14 +70,6 @@ class SchnorrVerifier {
   [[nodiscard]] bool verify(const PublicKey& key,
                             std::span<const std::uint8_t> message,
                             const Signature& sig);
-
-  /// Verify every item, spending ~one multi-scalar multiplication for the
-  /// whole batch when all signatures are valid.  Returns one verdict per
-  /// item, in order; verdicts are exact (a rejected aggregate is bisected
-  /// to ground truth, so invalid items are false and valid ones true).
-  /// Memo hits are honored and all computed verdicts are memoized.
-  [[nodiscard]] std::vector<bool> verify_batch(
-      std::span<const BatchItem> items);
 
   [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
   [[nodiscard]] std::size_t registered_key_count() const noexcept {
@@ -142,36 +112,10 @@ class SchnorrVerifier {
   };
   using Order = std::list<MemoEntry>;
 
-  /// A batch item that survived memo lookup and structural checks.
-  struct PendingItem;
-  /// Comb tables of the registered keys in one batch (snapshot; null =
-  /// cold).  Keys absent from the map are unregistered.
-  using BatchTables =
-      std::unordered_map<detail::PointId,
-                         std::shared_ptr<const FixedBaseTable>,
-                         detail::PointIdHash>;
-
   [[nodiscard]] MemoKey memo_key_for(const detail::PointId& id,
                                      const Signature& sig,
                                      const U256& e) const;
   void memo_store(const MemoKey& memo_key, bool ok);
-  /// Memoize `ok` for pending[a, b) in order.  Skips the prefix whose
-  /// entries this loop's own LRU evictions would erase before returning.
-  void memo_store_range(const std::vector<PendingItem>& pending,
-                        std::size_t a, std::size_t b, bool ok);
-  /// RLC check over pending[lo, hi): one MSM, true iff the aggregate holds.
-  [[nodiscard]] bool batch_check(const std::vector<PendingItem>& pending,
-                                 std::size_t lo, std::size_t hi,
-                                 const BatchTables& tables);
-  void batch_resolve(std::vector<bool>& results,
-                     const std::vector<PendingItem>& pending, std::size_t lo,
-                     std::size_t hi, const BatchTables& tables);
-  void count_registered(bool hot) noexcept {
-    ++(hot ? stats_.table_verifications : stats_.cold_verifications);
-  }
-  /// Ground-truth single verification of a pending item.
-  [[nodiscard]] bool verify_pending(const PendingItem& p,
-                                    const BatchTables& tables) const;
 
   std::size_t memo_capacity_;
   Order order_;  ///< front = most recently used

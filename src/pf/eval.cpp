@@ -1,7 +1,5 @@
 #include "pf/eval.hpp"
 
-#include <unordered_map>
-
 #include "util/error.hpp"
 
 namespace identxx::pf {
@@ -20,78 +18,16 @@ Verdict PolicyEngine::evaluate(const FlowContext& ctx) const {
   return eval.eval_rules(ruleset_.rules);
 }
 
-// --------------------------------------------------------- batch compilation
+// ----------------------------------------------------------- compilation
 //
-// The batch entry point (DESIGN.md §11) shares two kinds of work across a
-// decide_many batch while staying observably identical to serial
-// evaluation:
-//
-//   * Static prefilters.  Each rule's proto / host / port constraints are
-//     compiled once into flat CIDR lists (tables resolved up front), and
-//     each flow probes them in rule order.  Rules a flow can never match
-//     are skipped without being visited; rules that cannot be compiled (a table the
-//     ruleset does not define) stay "dynamic" and run through the
-//     interpreted matcher so PolicyError surfaces exactly where serial
-//     evaluation would throw it.
-//
-//   * Hoisted `with` predicates.  Calls to flow-invariant functions (every
-//     builtin except `allowed`) are memoized per (call site, resolved
-//     argument values): the first flow to reach the call runs it, later
-//     flows with equal arguments — e.g. a batch sharing one attestation —
-//     reuse the verdict.  Memoization is lazy, so a call serial evaluation
-//     would never reach (earlier predicate failed, quick short-circuit) is
-//     never run here either.
-
-namespace {
-
-/// Collision-proof memo key: call-site id plus length-prefixed argument
-/// renderings (argument strings are untrusted response bytes, so plain
-/// joining would be forgeable).
-[[nodiscard]] std::string memo_key(std::uint32_t site,
-                                   const std::vector<Value>& args) {
-  std::string key = std::to_string(site);
-  for (const Value& value : args) {
-    key += '\x1f';
-    if (std::holds_alternative<Undefined>(value)) {
-      key += 'u';
-    } else if (const auto* s = std::get_if<std::string>(&value)) {
-      key += 's';
-      key += std::to_string(s->size());
-      key += ':';
-      key += *s;
-    } else {
-      const auto& list = std::get<std::vector<std::string>>(value);
-      key += 'l';
-      for (const std::string& item : list) {
-        key += std::to_string(item.size());
-        key += ':';
-        key += item;
-      }
-    }
-  }
-  return key;
-}
-
-/// Evaluate `call`'s arguments into `out` (cleared first).
-void resolve_args(const EvalContext& eval, const FuncCall& call,
-                  std::vector<Value>& out) {
-  out.clear();
-  out.reserve(call.args.size());
-  for (const Expr& expr : call.args) out.push_back(eval.eval_expr(expr));
-}
-
-/// Expression whose value cannot depend on the flow under evaluation:
-/// literals, list literals, and user-defined dictionary lookups (@src,
-/// @dst and @flow are per-flow).
-[[nodiscard]] bool expr_flow_independent(const Expr& expr) {
-  if (const auto* index = std::get_if<DictIndexExpr>(&expr)) {
-    return index->dict != "src" && index->dict != "dst" &&
-           index->dict != "flow";
-  }
-  return true;  // LiteralExpr / ListExpr
-}
-
-}  // namespace
+// The compiled evaluator (DESIGN.md §11) decides a flow with the same
+// verdict as evaluate() while visiting fewer rules.  Each rule's proto /
+// host / port constraints are compiled once into flat CIDR lists (tables
+// resolved up front), and each flow probes them in rule order: a rule the
+// flow can never match is skipped without being visited.  Rules that
+// cannot be compiled (a table the ruleset does not define) stay "dynamic"
+// and run through the interpreted matcher, so PolicyError surfaces exactly
+// where evaluate() would throw it.
 
 void PolicyEngine::compile() {
   const auto compile_endpoint = [this](const Endpoint& endpoint) {
@@ -103,9 +39,9 @@ void PolicyEngine::compile() {
       out.port_hi = endpoint.port->high;
     }
     // Resolve the host spec to a flat CIDR list.  Any reference to a table
-    // the ruleset does not define makes the endpoint dynamic: serial
-    // evaluation throws PolicyError when (and only when) a flow's scan
-    // visits that spec, and only the interpreted path reproduces that.
+    // the ruleset does not define makes the endpoint dynamic: evaluate()
+    // throws PolicyError when (and only when) a flow's scan visits that
+    // spec, and only the interpreted path reproduces that.
     const auto add_table = [&](const std::string& name) {
       const auto it = ruleset_.tables.find(name);
       if (it == ruleset_.tables.end()) {
@@ -150,24 +86,10 @@ void PolicyEngine::compile() {
     compiled.to = compile_endpoint(rule.to);
     compiled.withs.reserve(rule.withs.size());
     for (const FuncCall& call : rule.withs) {
-      CompiledCall cc;
-      cc.call = &call;
-      // May be null: serial evaluation only reports an unknown function
-      // when a flow actually reaches the call, so the batch path defers
-      // the error to the same point.
-      cc.fn = registry_.find(call.name);
-      cc.preparer = registry_.batch_preparer(call.name);
-      if (cc.preparer != nullptr) has_preparers_ = true;
-      cc.site = call_sites_++;
-      cc.hoistable = registry_.flow_invariant(call.name);
-      cc.static_args = true;
-      for (const Expr& expr : call.args) {
-        if (!expr_flow_independent(expr)) {
-          cc.static_args = false;
-          break;
-        }
-      }
-      compiled.withs.push_back(std::move(cc));
+      // fn may be null: evaluate() only reports an unknown function when a
+      // flow actually reaches the call, so the compiled path defers the
+      // error to the same point.
+      compiled.withs.push_back(CompiledCall{&call, registry_.find(call.name)});
     }
     compiled_.push_back(std::move(compiled));
   }
@@ -195,9 +117,9 @@ bool PolicyEngine::static_endpoint_matches(const CompiledEndpoint& endpoint,
 
 bool PolicyEngine::static_candidate(const CompiledRule& rule,
                                     const net::FiveTuple& flow) noexcept {
-  // Serial order is proto, from, to; a static mismatch at any point before
-  // the first dynamic spec proves serial evaluation returns false there
-  // without visiting the (possibly throwing) remainder.
+  // evaluate()'s order is proto, from, to; a static mismatch at any point
+  // before the first dynamic spec proves it returns false there without
+  // visiting the (possibly throwing) remainder.
   if (rule.proto && *rule.proto != flow.proto) return false;
   if (rule.from.dynamic) return true;
   if (!static_endpoint_matches(rule.from, flow.src_ip, flow.src_port)) {
@@ -207,108 +129,39 @@ bool PolicyEngine::static_candidate(const CompiledRule& rule,
          static_endpoint_matches(rule.to, flow.dst_ip, flow.dst_port);
 }
 
-/// Cross-flow state of one multi-flow batch: the hoisted-call memo and
-/// per-site caches of flow-independent argument vectors.
-struct PolicyEngine::BatchShare {
-  explicit BatchShare(std::size_t call_sites) : args_cache(call_sites) {}
-
-  std::unordered_map<std::string, bool> memo;
-  std::vector<std::optional<std::vector<Value>>> args_cache;
-};
-
-std::vector<Verdict> PolicyEngine::evaluate_batch(
-    std::span<const FlowContext> batch) const {
-  ++stats_.batches;
-  std::vector<Verdict> out;
-  out.reserve(batch.size());
-  if (batch.size() == 1) {
-    // Every ready flow arrives alone: nothing to share, so skip the memo,
-    // the argument caches and the preparer warm-up (a lone attestation
-    // gains nothing from aggregation).
-    out.push_back(evaluate_compiled(batch.front(), nullptr));
-    return out;
-  }
-  BatchShare share(call_sites_);
-  if (has_preparers_) prepare_batch(batch);
-  for (const FlowContext& ctx : batch) {
-    out.push_back(evaluate_compiled(ctx, &share));
-  }
-  return out;
-}
-
-void PolicyEngine::prepare_batch(std::span<const FlowContext> batch) const {
-  // Batch-preparer pre-pass (DESIGN.md §15): before any flow is evaluated,
-  // resolve the arguments of every candidate call to a function with a
-  // registered preparer and hand them over in one shot (the `verify`
-  // builtin batch-verifies all attestations with one multi-scalar
-  // multiplication, seeding its memo).  Purely a warm-up: argument
-  // resolution failures are skipped (the per-flow pass reaches the same
-  // PolicyError on its own, or never reaches the call), preparer failures
-  // are swallowed, and no eval-level counter moves — the stats invariants
-  // against serial evaluation are untouched.
-  std::map<std::string_view, std::vector<std::vector<Value>>> gathered;
-  for (const FlowContext& ctx : batch) {
-    const EvalContext eval(ctx, ruleset_, registry_, stats_);
-    for (const CompiledRule& rule : compiled_) {
-      if (!static_candidate(rule, ctx.flow)) continue;
-      for (const CompiledCall& cc : rule.withs) {
-        if (cc.preparer == nullptr) continue;
-        try {
-          std::vector<Value> resolved;
-          resolve_args(eval, *cc.call, resolved);
-          gathered[cc.call->name].push_back(std::move(resolved));
-        } catch (const PolicyError&) {
-          // The call's arguments don't resolve for this flow; serial
-          // evaluation throws if and when it actually reaches the call.
-        }
-      }
-    }
-  }
-  for (const auto& [name, calls] : gathered) {
-    try {
-      (*registry_.batch_preparer(name))(calls);
-    } catch (...) {
-      // Advisory only: a failing preparer must not fail the batch.
-    }
-  }
-}
-
-Verdict PolicyEngine::evaluate_compiled(const FlowContext& ctx,
-                                        BatchShare* share) const {
+Verdict PolicyEngine::evaluate_compiled(const FlowContext& ctx) const {
   ++stats_.evaluations;
-  ++stats_.batch_flows;
   const EvalContext eval(ctx, ruleset_, registry_, stats_);
   Verdict verdict;
   std::size_t visited = 0;
-  std::size_t serial_visited = compiled_.size();  // quick break overwrites
+  std::size_t reference_visited = compiled_.size();  // quick break overwrites
   // Visit candidate rule `index`; true when a matching quick rule ends the
   // scan.
   const auto visit = [&](std::uint32_t index) {
     ++visited;
     ++stats_.rules_scanned;
     const CompiledRule& rule = compiled_[index];
-    if (!compiled_rule_matches(rule, eval, share)) return false;
+    if (!compiled_rule_matches(rule, eval)) return false;
     verdict.action = rule.rule->action;
     verdict.keep_state = rule.rule->keep_state;
     verdict.quick = rule.rule->quick;
     verdict.log = rule.rule->log;
     verdict.rule = rule.rule;
     if (!rule.rule->quick) return false;
-    serial_visited = index + 1;
+    reference_visited = index + 1;
     return true;
   };
   for (std::uint32_t index = 0; index < compiled_.size(); ++index) {
     if (static_candidate(compiled_[index], ctx.flow) && visit(index)) break;
   }
-  stats_.prefilter_skips += serial_visited - visited;
+  stats_.prefilter_skips += reference_visited - visited;
   return verdict;
 }
 
 bool PolicyEngine::compiled_rule_matches(const CompiledRule& rule,
-                                         const EvalContext& eval,
-                                         BatchShare* share) const {
+                                         const EvalContext& eval) const {
   const net::FiveTuple& flow = eval.flow().flow;
-  // Dynamic endpoints re-run the interpreted matcher in serial order
+  // Dynamic endpoints re-run the interpreted matcher in evaluate()'s order
   // (from, then to) so unknown-table PolicyErrors surface identically.
   if (rule.from.dynamic &&
       !eval.endpoint_matches(rule.rule->from, flow.src_ip, flow.src_port)) {
@@ -328,33 +181,13 @@ bool PolicyEngine::compiled_rule_matches(const CompiledRule& rule,
       throw PolicyError("unknown policy function '" + cc.call->name +
                         "' (line " + std::to_string(cc.call->line) + ")");
     }
-    const std::vector<Value>* args = &scratch_;
-    if (share != nullptr && cc.static_args) {
-      std::optional<std::vector<Value>>& cached = share->args_cache[cc.site];
-      if (!cached) {
-        resolve_args(eval, *cc.call, scratch_);
-        cached = scratch_;
-      }
-      args = &*cached;
-    } else {
-      resolve_args(eval, *cc.call, scratch_);
+    std::vector<Value> args;
+    args.reserve(cc.call->args.size());
+    for (const Expr& expr : cc.call->args) {
+      args.push_back(eval.eval_expr(expr));
     }
-    bool result;
-    if (share != nullptr && cc.hoistable) {
-      std::string key = memo_key(cc.site, *args);
-      if (const auto hit = share->memo.find(key); hit != share->memo.end()) {
-        ++stats_.hoist_memo_hits;
-        result = hit->second;
-      } else {
-        ++stats_.functions_called;
-        result = (*cc.fn)(eval, *cc.call, *args);
-        share->memo.emplace(std::move(key), result);
-      }
-    } else {
-      ++stats_.functions_called;
-      result = (*cc.fn)(eval, *cc.call, *args);
-    }
-    if (!result) return false;
+    ++stats_.functions_called;
+    if (!(*cc.fn)(eval, *cc.call, args)) return false;
   }
   return true;
 }

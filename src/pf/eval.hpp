@@ -11,7 +11,6 @@
 
 #include <cstdint>
 #include <optional>
-#include <span>
 #include <string>
 #include <string_view>
 #include <variant>
@@ -52,19 +51,14 @@ struct EngineStats {
   std::uint64_t rules_scanned = 0;
   std::uint64_t functions_called = 0;
   std::uint64_t delegated_rule_evals = 0;  ///< rules run inside allowed()
-  // Batched evaluation (DESIGN.md §11).  Two invariants tie the modes
-  // together, per identical input set:
-  //   serial.rules_scanned    == batch.rules_scanned + batch.prefilter_skips
-  //   serial.functions_called == batch.functions_called + batch.hoist_memo_hits
-  // These are *work* counters, so they hold for runs that complete: an
-  // evaluation aborted by PolicyError keeps the work it did before the
-  // throw (in either mode), and a caller that then falls back — e.g.
-  // PolicyDecisionEngine re-running each flow as a one-flow batch —
-  // counts the fallback's work on top.
-  std::uint64_t batches = 0;           ///< evaluate_batch() calls
-  std::uint64_t batch_flows = 0;       ///< contexts decided through batches
-  std::uint64_t prefilter_skips = 0;   ///< rule visits elided by static prefilters
-  std::uint64_t hoist_memo_hits = 0;   ///< with-calls answered from the batch memo
+  /// Rule visits the compiled evaluator elided by static prefilters.  Per
+  /// flow (DESIGN.md §11), evaluate() (ref) and evaluate_compiled() satisfy
+  ///   ref.rules_scanned == compiled.rules_scanned + compiled.prefilter_skips
+  ///   ref.functions_called == compiled.functions_called
+  /// These are *work* counters, so they hold for evaluations that
+  /// complete: one aborted by PolicyError keeps the work it did before
+  /// the throw.
+  std::uint64_t prefilter_skips = 0;
 };
 
 class PolicyEngine {
@@ -83,30 +77,20 @@ class PolicyEngine {
   PolicyEngine& operator=(PolicyEngine&&) = default;
 
   /// Decide `ctx` by interpreting the ruleset: the reference evaluator
-  /// that evaluate_batch is checked against (the controller decides
-  /// through evaluate_batch).  Throws PolicyError for unknown
+  /// that evaluate_compiled is checked against (the controller decides
+  /// through evaluate_compiled).  Throws PolicyError for unknown
   /// functions/tables (admin configuration errors); never throws for
   /// malformed *delegated* content, which simply fails to match.
   [[nodiscard]] Verdict evaluate(const FlowContext& ctx) const;
 
-  /// Decide a whole batch of flows through the compiled ruleset
-  /// (DESIGN.md §11).  Verdicts — actions, modifiers and matched-rule
-  /// pointers — are bit-identical to calling evaluate() on each context in
-  /// order; only the work is shared:
-  ///   * per-rule static prefilters (proto / CIDR / resolved-table /
-  ///     port-range checks) compiled once, so a rule a flow can never
-  ///     match is skipped without being visited;
-  ///   * `with` predicates whose verdict is determined by their argument
-  ///     values (every builtin except `allowed`) run once per batch per
-  ///     (call site, resolved arguments) and are memoized after that, so a
-  ///     shared attestation verifies once however many flows carry it.
-  /// A one-flow batch shares nothing, so it builds none of that state (no
-  /// preparer pre-pass, hoist memo or argument caches).
-  /// Throws PolicyError exactly where serial evaluation would (unknown
-  /// function/table/dict reached by a flow); callers needing per-flow
-  /// fail-closed semantics re-run each flow as its own one-flow batch.
-  [[nodiscard]] std::vector<Verdict> evaluate_batch(
-      std::span<const FlowContext> batch) const;
+  /// Decide `ctx` through the compiled ruleset (DESIGN.md §11).  The
+  /// verdict — action, modifiers and matched-rule pointer — is identical
+  /// to evaluate()'s; per-rule static prefilters (proto / CIDR /
+  /// resolved-table / port-range checks), compiled once, skip the rules
+  /// the flow can never match without visiting them.  Throws PolicyError
+  /// exactly where evaluate() would (unknown function/table/dict reached
+  /// by the flow).
+  [[nodiscard]] Verdict evaluate_compiled(const FlowContext& ctx) const;
 
   [[nodiscard]] const Ruleset& ruleset() const noexcept { return ruleset_; }
   [[nodiscard]] const FunctionRegistry& registry() const noexcept {
@@ -116,7 +100,7 @@ class PolicyEngine {
 
  private:
   /// One compiled endpoint: host spec resolved to a flat CIDR list so the
-  /// batch path never walks tables.  `dynamic` marks specs that cannot be
+  /// compiled path never walks tables.  `dynamic` marks specs that cannot be
   /// resolved statically (a table missing from the ruleset); those fall
   /// back to the interpreted matcher, preserving PolicyError parity.
   struct CompiledEndpoint {
@@ -129,15 +113,11 @@ class PolicyEngine {
     std::uint16_t port_hi = 65535;
   };
   /// One compiled `with` call.  `fn` is resolved at compile time but may
-  /// be null — serial evaluation only throws for an unknown function when
-  /// a flow actually reaches the call, and the batch path must match that.
+  /// be null — evaluate() only throws for an unknown function when a flow
+  /// actually reaches the call, and the compiled path must match that.
   struct CompiledCall {
     const FuncCall* call = nullptr;
     const PolicyFunction* fn = nullptr;
-    const BatchPreparer* preparer = nullptr;  ///< batch warm-up hook, or null
-    std::uint32_t site = 0;      ///< global call-site id (memo key prefix)
-    bool hoistable = false;      ///< fn is flow-invariant given its args
-    bool static_args = false;    ///< args are literal/list/user-dict only
   };
   struct CompiledRule {
     const Rule* rule = nullptr;
@@ -146,24 +126,14 @@ class PolicyEngine {
     std::vector<CompiledCall> withs;
   };
 
-  /// Cross-flow state of one multi-flow batch (DESIGN.md §11).
-  struct BatchShare;
-
   void compile();
   /// Can `flow` pass `rule`'s static prefilters?
   [[nodiscard]] static bool static_candidate(
       const CompiledRule& rule, const net::FiveTuple& flow) noexcept;
-  /// Run the batch preparers over every candidate call in `batch`.
-  void prepare_batch(std::span<const FlowContext> batch) const;
-  /// Decide one flow over its candidate rules.  `share` is null for a
-  /// one-flow batch, which then neither reads nor fills any memo.
-  [[nodiscard]] Verdict evaluate_compiled(const FlowContext& ctx,
-                                          BatchShare* share) const;
   /// Does a candidate rule match (dynamic endpoints, then the `with`
   /// calls)?
   [[nodiscard]] bool compiled_rule_matches(const CompiledRule& rule,
-                                           const EvalContext& eval,
-                                           BatchShare* share) const;
+                                           const EvalContext& eval) const;
   /// Static counterpart of EvalContext::endpoint_matches for compiled
   /// endpoints (never throws; only valid when !dynamic).
   [[nodiscard]] static bool static_endpoint_matches(
@@ -173,13 +143,7 @@ class PolicyEngine {
   Ruleset ruleset_;
   FunctionRegistry registry_;
   std::vector<CompiledRule> compiled_;
-  std::uint32_t call_sites_ = 0;
-  bool has_preparers_ = false;  ///< any compiled call has a batch preparer
   mutable EngineStats stats_;
-  /// Resolved `with` arguments of the compiled evaluator, kept between
-  /// evaluations so a ready flow allocates no argument vector.  Like
-  /// stats_, it assumes one caller at a time.
-  mutable std::vector<Value> scratch_;
 };
 
 /// Evaluation context handed to policy functions.  Exposes expression
@@ -216,8 +180,8 @@ class EvalContext {
   [[nodiscard]] bool rule_matches(const Rule& rule) const;
 
   /// Interpreted endpoint match (host spec + negation + port).  Public so
-  /// the batch evaluator can fall back to it for endpoints it could not
-  /// compile (unknown tables throw PolicyError exactly as serial does).
+  /// the compiled evaluator can fall back to it for endpoints it could not
+  /// compile (unknown tables throw PolicyError exactly as evaluate() does).
   [[nodiscard]] bool endpoint_matches(const Endpoint& endpoint,
                                       net::Ipv4Address addr,
                                       std::uint16_t port) const;

@@ -1,8 +1,5 @@
 #include "pf/functions.hpp"
 
-#include <deque>
-#include <unordered_set>
-
 #include "crypto/schnorr.hpp"
 #include "crypto/verifier.hpp"
 #include "identxx/daemon_config.hpp"
@@ -224,19 +221,14 @@ std::optional<std::vector<std::string>> value_to_list(const Value& v) {
 }
 
 FunctionRegistry FunctionRegistry::with_builtins() {
-  // Every builtin's verdict is determined by its argument values alone —
-  // except `allowed`, which evaluates delegated rules against the current
-  // flow and so must run per flow.  (`member` reads the ruleset's named
-  // lists and `verify` the shared verification memo; both are fixed for an
-  // engine's lifetime, so the flow-invariant contract holds.)
   FunctionRegistry registry;
-  registry.register_function("eq", fn_eq, /*flow_invariant=*/true);
-  registry.register_function("gt", fn_gt, /*flow_invariant=*/true);
-  registry.register_function("lt", fn_lt, /*flow_invariant=*/true);
-  registry.register_function("gte", fn_gte, /*flow_invariant=*/true);
-  registry.register_function("lte", fn_lte, /*flow_invariant=*/true);
-  registry.register_function("member", fn_member, /*flow_invariant=*/true);
-  registry.register_function("includes", fn_includes, /*flow_invariant=*/true);
+  registry.register_function("eq", fn_eq);
+  registry.register_function("gt", fn_gt);
+  registry.register_function("lt", fn_lt);
+  registry.register_function("gte", fn_gte);
+  registry.register_function("lte", fn_lte);
+  registry.register_function("member", fn_member);
+  registry.register_function("includes", fn_includes);
   registry.register_function("allowed", fn_allowed);
   // The verifier is shared by every copy of this registry (delegated-rule
   // evaluation reuses the registry), so one memo serves the whole engine.
@@ -246,50 +238,6 @@ FunctionRegistry FunctionRegistry::with_builtins() {
       [verifier = registry.verifier_](const EvalContext&, const FuncCall& call,
                                       const std::vector<Value>& args) {
         return fn_verify(verifier.get(), call, args);
-      },
-      /*flow_invariant=*/true);
-  // Batch warm-up: every reachable verify() call in a decide_many batch is
-  // checked in ONE multi-scalar multiplication (DESIGN.md §15).  The
-  // verdicts land in the verifier's memo, so the per-flow fn_verify calls
-  // above become memo hits.  Purely advisory — malformed arguments are
-  // skipped here and fail per flow, exactly as they would serially.
-  registry.register_batch_preparer(
-      "verify",
-      [verifier = registry.verifier_](
-          const std::vector<std::vector<Value>>& calls) {
-        std::deque<std::string> messages;  // stable storage for the views
-        std::vector<crypto::SchnorrVerifier::BatchItem> items;
-        std::unordered_set<std::string> seen;
-        for (const std::vector<Value>& args : calls) {
-          if (args.size() < 3) continue;
-          const auto sig_hex = value_to_string(args[0]);
-          const auto key_hex = value_to_string(args[1]);
-          if (!sig_hex || !key_hex) continue;
-          const auto sig = crypto::Signature::from_hex(*sig_hex);
-          const auto key = crypto::PublicKey::from_hex(*key_hex);
-          if (!sig || !key) continue;
-          std::vector<std::string> data;
-          data.reserve(args.size() - 2);
-          bool ok = true;
-          for (std::size_t i = 2; i < args.size(); ++i) {
-            const auto piece = value_to_string(args[i]);
-            if (!piece) {
-              ok = false;
-              break;
-            }
-            data.push_back(*piece);
-          }
-          if (!ok) continue;
-          std::string message = proto::signed_message(data);
-          if (!seen.insert(*sig_hex + *key_hex + message).second) continue;
-          messages.push_back(std::move(message));
-          items.push_back(crypto::SchnorrVerifier::BatchItem{
-              *key, messages.back(), *sig});
-        }
-        // A single fresh attestation gains nothing from aggregation; the
-        // per-flow path will verify it (and memo hits cost nothing here).
-        if (items.size() < 2) return;
-        (void)verifier->verify_batch(items);
       });
   return registry;
 }

@@ -52,15 +52,12 @@ using Value = std::variant<Undefined, std::string, std::vector<std::string>>;
 using PolicyFunction = std::function<bool(
     const EvalContext&, const FuncCall&, const std::vector<Value>&)>;
 
-/// Advisory batch warm-up for a policy function: receives the resolved
-/// argument vectors of every reachable call to that function across one
-/// evaluate_batch() of two or more flows, before any flow is evaluated (a
-/// one-flow batch has nothing to share and never runs preparers).  The
-/// preparer may prime backend caches (the `verify` builtin batch-verifies
-/// all attestations in one multi-scalar multiplication, seeding the
-/// verification memo) but must not produce verdicts — the per-flow
-/// evaluation still calls the function, which is what keeps batch
-/// evaluation observably identical to serial.
+/// A per-function warm-up hook over resolved argument vectors.  Nothing in
+/// evaluation runs one: every flow calls its functions directly.  The type
+/// and the registry members that carry it (register_batch_preparer,
+/// batch_preparer, and the `flow_invariant` flag) stay only because the
+/// wall-clock benchmark's registry wrapper (perfbench/driver.cpp) still
+/// names them; none of them changes a verdict or the work evaluation does.
 using BatchPreparer = std::function<void(
     const std::vector<std::vector<Value>>& calls)>;
 
@@ -72,25 +69,19 @@ class FunctionRegistry {
   /// Registry pre-loaded with the paper's predefined functions.
   [[nodiscard]] static FunctionRegistry with_builtins();
 
-  /// Register or replace a function.  `flow_invariant` declares that the
-  /// function's verdict is fully determined by its argument values (it
-  /// does not read the flow, the responses, or mutable state through the
-  /// EvalContext) — the batch evaluator may then memoize calls per
-  /// (call site, resolved arguments) across the flows of one batch
-  /// (DESIGN.md §11).  Every builtin except `allowed` qualifies; the flag
-  /// defaults to false, so user-registered functions are never hoisted
-  /// unless they opt in.
+  /// Register or replace a function.  `flow_invariant` is recorded and
+  /// reported by flow_invariant() but not read by evaluation (see
+  /// BatchPreparer).
   void register_function(std::string name, PolicyFunction fn,
                          bool flow_invariant = false);
 
   [[nodiscard]] const PolicyFunction* find(std::string_view name) const;
 
-  /// Attach a batch preparer to an already-registered function.  The batch
-  /// evaluator invokes it once per batch of two or more flows with all
-  /// reachable resolved calls.
+  /// Attach a warm-up hook to `name`.  Stored, never run by evaluation
+  /// (see BatchPreparer).
   void register_batch_preparer(std::string name, BatchPreparer preparer);
 
-  /// The preparer for `name`, or null (most functions have none).
+  /// The hook registered for `name`, or null (no builtin has one).
   [[nodiscard]] const BatchPreparer* batch_preparer(
       std::string_view name) const;
 

@@ -10,6 +10,7 @@
 #include "controller/admission.hpp"
 #include "controller/admission_controller.hpp"
 #include "core/network.hpp"
+#include "crypto/ec.hpp"
 #include "crypto/schnorr.hpp"
 #include "crypto/verifier.hpp"
 #include "identxx/daemon_config.hpp"
@@ -1075,6 +1076,66 @@ TEST(VerifierIntegration, PolicyVerifyMemoizesAcrossDecisions) {
   ASSERT_EQ(decisions.size(), 3u);
   for (const auto& d : decisions) EXPECT_TRUE(d.allowed);
   EXPECT_EQ(engine.verifier()->stats().table_verifications, 1u);  // still one
+}
+
+TEST(VerifierIntegration, SweepWithForgedAttestationsDecidesEachFlowAlone) {
+  // A deadline sweep of distinct flows, each carrying its own fresh
+  // attestation, forged ones among them: every flow is decided exactly as
+  // a lone decide() would decide it, and each attestation is verified once.
+  const crypto::PrivateKey vendor =
+      crypto::PrivateKey::from_seed("sweep-vendor");
+  const crypto::PrivateKey outsider =
+      crypto::PrivateKey::from_seed("sweep-outsider");
+  const std::string policy =
+      "dict <pubkeys> { vendor : " + vendor.public_key().to_hex() + " }\n"
+      "block all\n"
+      "pass all with verify(@src[sig], @pubkeys[vendor], @src[name], "
+      "@src[version])\n";
+
+  enum class Kind { kValid, kTamperedS, kUnknownKey, kOtherMessage };
+  const std::vector<Kind> kinds = {
+      Kind::kValid, Kind::kTamperedS, Kind::kValid,
+      Kind::kUnknownKey, Kind::kValid, Kind::kOtherMessage,
+      Kind::kValid, Kind::kValid, Kind::kValid};
+  std::vector<ctrl::AdmissionContext> contexts(kinds.size());
+  for (std::size_t i = 0; i < kinds.size(); ++i) {
+    const std::string name = "app-" + std::to_string(i);
+    const std::string version = "7";
+    crypto::Signature sig =
+        (kinds[i] == Kind::kUnknownKey ? outsider : vendor)
+            .sign(proto::signed_message({name, version}));
+    if (kinds[i] == Kind::kTamperedS) {
+      sig.s = crypto::add_mod(sig.s, crypto::U256{1}, crypto::Secp256k1::n());
+    } else if (kinds[i] == Kind::kOtherMessage) {
+      sig = vendor.sign(proto::signed_message({name, "8"}));
+    }
+    proto::Response response;
+    proto::Section section;
+    section.add("name", name);
+    section.add("version", version);
+    section.add("sig", sig.to_hex());
+    response.append_section(section);
+    contexts[i].flow = make_flow(static_cast<std::uint32_t>(10 + i), 2, 80);
+    contexts[i].src_response = response;
+  }
+  std::vector<const ctrl::AdmissionContext*> sweep;
+  for (const auto& ctx : contexts) sweep.push_back(&ctx);
+  sweep.push_back(&contexts[1]);  // a repeat packet-in of a forged flow
+
+  ctrl::PolicyDecisionEngine engine(pf::parse(policy, "test"));
+  const auto decisions = engine.decide_many(sweep);
+  ASSERT_EQ(decisions.size(), sweep.size());
+  for (std::size_t i = 0; i < sweep.size(); ++i) {
+    ctrl::PolicyDecisionEngine alone(pf::parse(policy, "test"));
+    const ctrl::AdmissionDecision expected = alone.decide(*sweep[i]);
+    EXPECT_EQ(decisions[i].allowed, expected.allowed) << "flow " << i;
+    EXPECT_EQ(decisions[i].rule, expected.rule) << "flow " << i;
+    const auto flow = static_cast<std::size_t>(sweep[i] - contexts.data());
+    EXPECT_EQ(decisions[i].allowed, kinds[flow] == Kind::kValid)
+        << "flow " << i;
+  }
+  EXPECT_EQ(engine.verifier()->stats().memo_misses, kinds.size());
+  EXPECT_EQ(engine.verifier()->stats().memo_hits, 0u);
 }
 
 TEST(AuditLogCap, RingBufferDropsOldestAndCounts) {

@@ -1,6 +1,6 @@
 // Unit and property tests for src/crypto: SHA-256 (FIPS vectors), HMAC,
 // U256 arithmetic, secp256k1 group law, Schnorr signatures, and the fast
-// paths (GLV / fixed-base / MSM / sn_reduce) differentially checked
+// paths (GLV / fixed-base / sn_reduce) differentially checked
 // against the retained naive oracles.
 
 #include <gtest/gtest.h>
@@ -475,30 +475,6 @@ TEST(EcDifferential, MulAddOnGeneratorTableHitsDoublingAndCancellation) {
   }
 }
 
-TEST(EcDifferential, MsmCombOnlyTermsRunFullChain) {
-  // Only comb and base terms: no wNAF stream sets the chain length, so
-  // result() must still run all kColumns steps — small scalars (digits in
-  // the low columns only) and full-width ones alike.
-  util::SplitMix64 rng(131);
-  const AffinePoint p = random_point(rng);
-  const FixedBaseTable table(p);
-  const std::vector<std::pair<U256, U256>> cases = {
-      {U256{1}, U256{3}},
-      {U256{0x80}, U256{}},
-      {U256{}, U256{0x8000}},
-      {U256{rng.next(), rng.next(), rng.next(), rng.next()},
-       U256{rng.next(), rng.next(), rng.next(), rng.next()}}};
-  for (const auto& [kb, kc] : cases) {
-    EcMsm msm;
-    msm.add_base(kb);
-    msm.add_comb(table, kc);
-    const JacobianPoint expected =
-        ec_add(ec_mul_naive(kb, AffinePoint::generator()), ec_mul_naive(kc, p));
-    EXPECT_EQ(msm.result().to_affine(), expected.to_affine())
-        << "kb=" << kb.to_hex() << " kc=" << kc.to_hex();
-  }
-}
-
 TEST(EcDifferential, EqualsAffineAgreesWithNormalization) {
   util::SplitMix64 rng(109);
   const AffinePoint p = random_point(rng);
@@ -684,6 +660,23 @@ TEST(SchnorrVerifier, MemoIsBoundedLru) {
   EXPECT_EQ(verifier.stats().memo_hits, 1u);
 }
 
+TEST(SchnorrVerifier, ZeroMemoCapacityKeepsOneEntry) {
+  SchnorrVerifier verifier(/*memo_capacity=*/0);
+  EXPECT_EQ(verifier.memo_capacity(), 1u);
+  const PrivateKey key = PrivateKey::from_seed("daemon-zero");
+  const Signature first = key.sign("first");
+  EXPECT_TRUE(verifier.verify(key.public_key(), "first", first));
+  EXPECT_TRUE(verifier.verify(key.public_key(), "first", first));
+  EXPECT_EQ(verifier.stats().memo_hits, 1u);
+  // A second distinct attestation evicts the first.
+  EXPECT_TRUE(verifier.verify(key.public_key(), "second", key.sign("second")));
+  EXPECT_EQ(verifier.memo_size(), 1u);
+  EXPECT_EQ(verifier.stats().memo_evictions, 1u);
+  EXPECT_TRUE(verifier.verify(key.public_key(), "first", first));
+  EXPECT_EQ(verifier.stats().memo_hits, 1u);
+  EXPECT_EQ(verifier.stats().memo_misses, 3u);
+}
+
 TEST(SchnorrVerifier, KeyChangeInvalidatesMemoizedVerdicts) {
   // The memo binds the key's value AND generation: rotating a daemon key
   // can never serve a verdict computed under the old key, and even
@@ -706,197 +699,6 @@ TEST(SchnorrVerifier, KeyChangeInvalidatesMemoizedVerdicts) {
   const std::uint64_t misses_before = verifier.stats().memo_misses;
   EXPECT_TRUE(verifier.verify(old_key.public_key(), "claim", sig));
   EXPECT_EQ(verifier.stats().memo_misses, misses_before + 1);
-}
-
-// ------------------------------------------------- batch verification
-
-/// A small pool of signing principals (a decide_many burst is typically a
-/// handful of daemons attesting many flows).
-std::vector<PrivateKey> key_pool(std::size_t count, const std::string& tag) {
-  std::vector<PrivateKey> keys;
-  keys.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    keys.push_back(PrivateKey::from_seed(tag + std::to_string(i)));
-  }
-  return keys;
-}
-
-TEST(SchnorrVerifier, BatchAcceptsAllValidWithOneMsm) {
-  for (const std::size_t n : {std::size_t{2}, std::size_t{8}, std::size_t{64}}) {
-    SchnorrVerifier verifier;
-    const auto keys = key_pool(4, "batch-pool-");
-    for (const auto& k : keys) verifier.register_key(k.public_key());
-
-    std::vector<std::string> msgs;
-    std::vector<SchnorrVerifier::BatchItem> items;
-    msgs.reserve(n);
-    items.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      const PrivateKey& k = keys[i % keys.size()];
-      msgs.push_back("flow-attestation-" + std::to_string(i));
-      items.push_back({k.public_key(), msgs.back(), k.sign(msgs.back())});
-    }
-
-    const auto verdicts = verifier.verify_batch(items);
-    ASSERT_EQ(verdicts.size(), n);
-    for (std::size_t i = 0; i < n; ++i) {
-      EXPECT_TRUE(verdicts[i]) << "n=" << n << " item " << i;
-    }
-    EXPECT_EQ(verifier.stats().batch_calls, 1u);
-    EXPECT_EQ(verifier.stats().batch_msms, 1u) << "n=" << n;
-    EXPECT_EQ(verifier.stats().batch_rejects, 0u);
-    EXPECT_EQ(verifier.stats().batch_items, n);
-    EXPECT_EQ(verifier.stats().memo_misses, n);
-    EXPECT_EQ(verifier.memo_size(), n);
-
-    // The whole batch was memoized: a second pass is pure memo hits and
-    // spends no additional group arithmetic.
-    const auto again = verifier.verify_batch(items);
-    for (std::size_t i = 0; i < n; ++i) EXPECT_TRUE(again[i]);
-    EXPECT_EQ(verifier.stats().memo_hits, n);
-    EXPECT_EQ(verifier.stats().batch_msms, 1u);
-  }
-}
-
-TEST(SchnorrVerifier, BatchRejectsForgeriesAtRandomPositions) {
-  // A batch containing >= 1 forged signature must never be accepted, and
-  // bisection must converge on exactly the forged indices.
-  util::SplitMix64 rng(173);
-  for (const std::size_t n : {std::size_t{2}, std::size_t{8}, std::size_t{64}}) {
-    for (int trial = 0; trial < 5; ++trial) {
-      SchnorrVerifier verifier;
-      const auto keys = key_pool(4, "batch-forge-");
-      for (const auto& k : keys) verifier.register_key(k.public_key());
-
-      std::vector<std::string> msgs;
-      std::vector<SchnorrVerifier::BatchItem> items;
-      msgs.reserve(n);
-      items.reserve(n);
-      for (std::size_t i = 0; i < n; ++i) {
-        const PrivateKey& k = keys[i % keys.size()];
-        msgs.push_back("storm-" + std::to_string(trial) + "-" +
-                       std::to_string(i));
-        items.push_back({k.public_key(), msgs.back(), k.sign(msgs.back())});
-      }
-      std::vector<bool> forged(n, false);
-      forged[rng.next() % n] = true;  // always at least one culprit
-      for (std::size_t i = 0; i < n; ++i) {
-        if (!forged[i] && rng.next() % 4 == 0) forged[i] = true;
-      }
-      for (std::size_t i = 0; i < n; ++i) {
-        if (forged[i]) {
-          items[i].sig.s =
-              add_mod(items[i].sig.s, U256{1}, Secp256k1::n());
-        }
-      }
-
-      const auto verdicts = verifier.verify_batch(items);
-      ASSERT_EQ(verdicts.size(), n);
-      for (std::size_t i = 0; i < n; ++i) {
-        EXPECT_EQ(verdicts[i], !forged[i])
-            << "n=" << n << " trial=" << trial << " item " << i;
-      }
-      EXPECT_EQ(verifier.stats().batch_rejects, 1u);
-      EXPECT_GT(verifier.stats().batch_msms, 1u);  // bisection ran
-    }
-  }
-}
-
-TEST(SchnorrVerifier, BatchEdgeCasesEmptySingleDuplicate) {
-  SchnorrVerifier verifier;
-  const PrivateKey key = PrivateKey::from_seed("batch-edge");
-  verifier.register_key(key.public_key());
-
-  // Empty batch: empty verdicts, no MSM, not even a batch call recorded
-  // beyond the invocation counter.
-  EXPECT_TRUE(verifier.verify_batch({}).empty());
-  EXPECT_EQ(verifier.stats().batch_msms, 0u);
-
-  // Single item: no aggregation to be had — the plain tiered path runs.
-  const std::string msg = "solo-attestation";
-  const SchnorrVerifier::BatchItem solo{key.public_key(), msg, key.sign(msg)};
-  const auto one = verifier.verify_batch({&solo, 1});
-  ASSERT_EQ(one.size(), 1u);
-  EXPECT_TRUE(one[0]);
-  EXPECT_EQ(verifier.stats().batch_msms, 0u);
-  EXPECT_EQ(verifier.stats().table_verifications, 1u);
-
-  // Duplicate items inside one batch settle to one memo entry, both true.
-  const std::string dup_msg = "duplicated-attestation";
-  const SchnorrVerifier::BatchItem dup{key.public_key(), dup_msg,
-                                       key.sign(dup_msg)};
-  const std::vector<SchnorrVerifier::BatchItem> dups{dup, dup};
-  const std::size_t memo_before = verifier.memo_size();
-  const auto two = verifier.verify_batch(dups);
-  EXPECT_TRUE(two[0]);
-  EXPECT_TRUE(two[1]);
-  EXPECT_EQ(verifier.memo_size(), memo_before + 1);
-
-  // Structurally broken signatures fail closed without reaching the MSM.
-  SchnorrVerifier fresh;
-  fresh.register_key(key.public_key());
-  Signature broken = key.sign(msg);
-  broken.s = Secp256k1::n();  // out of range
-  const std::vector<SchnorrVerifier::BatchItem> mixed{
-      {key.public_key(), msg, key.sign(msg)},
-      {key.public_key(), msg, broken},
-  };
-  const auto verdicts = fresh.verify_batch(mixed);
-  EXPECT_TRUE(verdicts[0]);
-  EXPECT_FALSE(verdicts[1]);
-}
-
-TEST(SchnorrVerifier, BatchHandlesUnregisteredKeys) {
-  // Unregistered principals ride the same RLC check through the tableless
-  // GLV term; forgeries among them are still pinned exactly.
-  SchnorrVerifier verifier;
-  const PrivateKey registered = PrivateKey::from_seed("batch-reg");
-  const PrivateKey drifter = PrivateKey::from_seed("batch-unreg");
-  verifier.register_key(registered.public_key());
-
-  std::vector<std::string> msgs;
-  std::vector<SchnorrVerifier::BatchItem> items;
-  msgs.reserve(6);
-  for (std::size_t i = 0; i < 6; ++i) {
-    const PrivateKey& k = (i % 2 == 0) ? registered : drifter;
-    msgs.push_back("mixed-origin-" + std::to_string(i));
-    items.push_back({k.public_key(), msgs.back(), k.sign(msgs.back())});
-  }
-  items[3].sig.s = add_mod(items[3].sig.s, U256{1}, Secp256k1::n());
-
-  const auto verdicts = verifier.verify_batch(items);
-  for (std::size_t i = 0; i < items.size(); ++i) {
-    EXPECT_EQ(verdicts[i], i != 3) << "item " << i;
-  }
-}
-
-TEST(SchnorrVerifier, BatchHonorsGenerationAfterRotation) {
-  // Key rotation makes every verdict memoized under the old generation
-  // unreachable for batches exactly as for single verifies.
-  SchnorrVerifier verifier;
-  const PrivateKey key = PrivateKey::from_seed("batch-rotate");
-  verifier.register_key(key.public_key());
-
-  std::vector<std::string> msgs;
-  std::vector<SchnorrVerifier::BatchItem> items;
-  msgs.reserve(4);
-  for (std::size_t i = 0; i < 4; ++i) {
-    msgs.push_back("rotate-claim-" + std::to_string(i));
-    items.push_back({key.public_key(), msgs.back(), key.sign(msgs.back())});
-  }
-  const auto first = verifier.verify_batch(items);
-  for (const bool v : first) EXPECT_TRUE(v);
-  EXPECT_EQ(verifier.stats().memo_misses, 4u);
-
-  verifier.invalidate_key(key.public_key());
-  verifier.register_key(key.public_key());
-
-  // Same items, new generation: all recomputed (no stale hits), still true.
-  const auto second = verifier.verify_batch(items);
-  for (const bool v : second) EXPECT_TRUE(v);
-  EXPECT_EQ(verifier.stats().memo_hits, 0u);
-  EXPECT_EQ(verifier.stats().memo_misses, 8u);
-  EXPECT_EQ(verifier.stats().batch_msms, 2u);
 }
 
 // ------------------------------------------------- key tier store
@@ -954,7 +756,7 @@ TEST(KeyTierStore, UseDrivenPromotionEvictsLeastRecentlyUsed) {
 
   // The demoted key restarts cold and must re-earn its table; when it
   // does, it evicts b in turn.  A use() snapshot taken before the eviction
-  // keeps the evicted table alive (batch verification relies on this).
+  // keeps the evicted table alive (a verify in flight holds it that way).
   EXPECT_EQ(store.use(a), nullptr);
   EXPECT_NE(store.use(a), nullptr);
   EXPECT_EQ(store.peek(b), nullptr);
@@ -1169,76 +971,6 @@ TEST(EcDifferential, GlvMulAddMatchesNaiveComposition) {
   EXPECT_EQ(ec_mul_add_glv(U256{7}, U256{}, p).to_affine(),
             ec_mul_naive(U256{7}, AffinePoint::generator()).to_affine());
   EXPECT_TRUE(ec_mul_add_glv(U256{}, U256{}, p).is_identity());
-}
-
-TEST(EcDifferential, MsmMatchesNaiveSum) {
-  // Every EcMsm term flavour staged together against the naive point sum.
-  util::SplitMix64 rng(149);
-  for (int iter = 0; iter < 40; ++iter) {
-    const AffinePoint p1 = random_point(rng);
-    const AffinePoint p2 = random_point(rng);
-    const AffinePoint p3 = random_point(rng);
-    const AffinePoint p4 = random_point(rng);
-    const FixedBaseTable comb(p1);
-    const U256 k0{rng.next(), rng.next(), rng.next(), rng.next()};
-    const U256 k1{rng.next(), rng.next(), rng.next(), rng.next()};
-    const U256 k2{rng.next(), rng.next(), rng.next(), rng.next()};
-    const U256 k3{rng.next(), rng.next(), rng.next(), rng.next()};
-    const U256 k4{rng.next()};  // short scalar, the add_naf regime
-    EcMsm msm;
-    msm.add_base(k0);
-    msm.add_comb(comb, k1);
-    msm.add_glv(p2, k2);
-    msm.add_glv(p3, k3);
-    msm.add_naf(p4, k4);
-    JacobianPoint expected = ec_mul_naive(k0, AffinePoint::generator());
-    expected = ec_add(expected, ec_mul_naive(k1, p1));
-    expected = ec_add(expected, ec_mul_naive(k2, p2));
-    expected = ec_add(expected, ec_mul_naive(k3, p3));
-    expected = ec_add(expected, ec_mul_naive(k4, p4));
-    EXPECT_EQ(msm.result().to_affine(), expected.to_affine());
-  }
-  // The Bos-Coster regime: enough 64-bit naf terms to trigger the heap
-  // reduction (>= 16), including duplicate points, equal scalars, and a
-  // skewed spread that exercises the peel guard.
-  util::SplitMix64 rng_bc(153);
-  for (int iter = 0; iter < 10; ++iter) {
-    std::vector<AffinePoint> pts;
-    std::vector<U256> ks;
-    JacobianPoint expected = JacobianPoint::identity();
-    EcMsm msm;
-    for (int i = 0; i < 24; ++i) {
-      const AffinePoint pt = (i % 5 == 0 && i > 0) ? pts[0] : random_point(rng_bc);
-      U256 k{rng_bc.next()};
-      if (i == 7) k = ks[3];                  // equal scalars collide in the heap
-      if (i == 11) k = U256{3};               // skewed spread -> peel guard
-      if (i == 12) k = U256{rng_bc.next() | (1ULL << 63)};
-      pts.push_back(pt);
-      ks.push_back(k);
-      msm.add_naf(pt, k);
-      expected = ec_add(expected, ec_mul_naive(k, pt));
-    }
-    // A wide scalar rides the stream fallback alongside the short terms.
-    const AffinePoint wide_pt = random_point(rng_bc);
-    const U256 wide_k{rng_bc.next(), rng_bc.next(), rng_bc.next(),
-                      rng_bc.next() >> 1};
-    msm.add_naf(wide_pt, wide_k);
-    expected = ec_add(expected, ec_mul_naive(wide_k, wide_pt));
-    EXPECT_EQ(msm.result().to_affine(), expected.to_affine());
-  }
-  // Empty accumulator and exact cancellation both land on the identity --
-  // the condition batch verification tests for.
-  EXPECT_TRUE(EcMsm{}.result().is_identity());
-  util::SplitMix64 rng2(151);
-  const AffinePoint p = random_point(rng2);
-  const U256 k{rng2.next(), rng2.next(), rng2.next(), rng2.next() >> 1};
-  const FixedBaseTable gen_table(AffinePoint::generator());
-  EcMsm cancel;
-  cancel.add_naf(p, U256{5});
-  cancel.add_glv(p, U256::sub(Secp256k1::n(), U256{5}).first);
-  cancel.add_base(k);
-  cancel.add_comb(gen_table, U256::sub(Secp256k1::n(), sn_reduce(k)).first);
-  EXPECT_TRUE(cancel.result().is_identity());
 }
 
 // ------------------------------------------------- unrolled field layer
