@@ -1,7 +1,7 @@
 // B2: PF+=2 policy evaluation scaling — rule-count sweeps with and without
 // `with` predicates, the `quick` short-circuit ablation (DESIGN.md §6),
-// table-membership costs, compiled vs reference evaluation, and the
-// delegated-rules (`allowed`) path.
+// table-membership costs, signature-guarded evaluation as the controller
+// runs it, and the delegated-rules (`allowed`) path.
 
 #include <benchmark/benchmark.h>
 
@@ -71,22 +71,6 @@ void BM_EvalPrimitiveRules(benchmark::State& state) {
 }
 BENCHMARK(BM_EvalPrimitiveRules)->Arg(10)->Arg(100)->Arg(1000)->Arg(10000);
 
-// The same sweep through the compiled evaluator: no `with` call on the
-// path, so the gap to BM_EvalPrimitiveRules is the static prefilters alone.
-void BM_EvalPrimitiveRulesCompiled(benchmark::State& state) {
-  const pf::PolicyEngine engine(pf::parse(primitive_rules(state.range(0))));
-  const pf::FlowContext ctx = make_ctx();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(engine.evaluate_compiled(ctx));
-  }
-  state.counters["rules"] = static_cast<double>(state.range(0));
-}
-BENCHMARK(BM_EvalPrimitiveRulesCompiled)
-    ->Arg(10)
-    ->Arg(100)
-    ->Arg(1000)
-    ->Arg(10000);
-
 void BM_EvalWithRules(benchmark::State& state) {
   const pf::PolicyEngine engine(pf::parse(with_rules(state.range(0))));
   const pf::FlowContext ctx = make_ctx();
@@ -138,14 +122,13 @@ void BM_TableMembership(benchmark::State& state) {
 }
 BENCHMARK(BM_TableMembership)->Arg(16)->Arg(256)->Arg(4096);
 
-// ------------------------------------------------------- compiled eval
+// ------------------------------------------------- signature-guarded eval
 //
-// The controller's evaluator (DESIGN.md §11), pf::PolicyEngine::
-// evaluate_compiled, against the reference interpreter evaluate() on the
-// same flows, one flow per iteration.  The policy carries rule spread (the
-// static prefilters' target) plus a signature-guarded rule; each flow
-// carries its own attestation, answered from the verifier memo after the
-// first pass over the pool.
+// pf::PolicyEngine::evaluate, the controller's evaluator (DESIGN.md §11),
+// one flow per iteration.  The policy carries rule spread the flows never
+// match plus a signature-guarded rule; each flow carries its own
+// attestation, answered from the verifier memo after the first pass over
+// the pool.
 
 struct EvalBenchFixture {
   static constexpr int kFlows = 64;
@@ -158,8 +141,8 @@ struct EvalBenchFixture {
         "table <lan> { 10.0.0.0/8 }\n"
         "dict <pubkeys> { vendor : " + pubkey_hex + " }\n"
         "block all\n";
-    // Rule spread over ports the benchmark flows never hit: the reference
-    // visits all of them per flow, the prefilters skip them.
+    // Rule spread over ports the benchmark flows never hit: every flow
+    // visits all of them.
     for (int i = 0; i < 24; ++i) {
       out += "pass from 172.16." + std::to_string(i) + ".0/24 to any port " +
              std::to_string(2000 + i) + "\n";
@@ -199,18 +182,8 @@ struct EvalBenchFixture {
   }
 };
 
-void BM_PolicyEvalCompiled(benchmark::State& state) {
-  const crypto::PrivateKey key = crypto::PrivateKey::from_seed("bench");
-  EvalBenchFixture fx(key);
-  std::size_t i = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        fx.engine.evaluate_compiled(fx.flows[i++ % fx.flows.size()]));
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_PolicyEvalCompiled);
-
+// Named when the controller ran a second, compiled evaluator; the name
+// stays so snapshots keep comparing it.
 void BM_PolicyEvalReference(benchmark::State& state) {
   const crypto::PrivateKey key = crypto::PrivateKey::from_seed("bench");
   EvalBenchFixture fx(key);

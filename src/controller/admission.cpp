@@ -589,7 +589,7 @@ AdmissionDecision PolicyDecisionEngine::to_decision(
 AdmissionDecision PolicyDecisionEngine::decide(const AdmissionContext& ctx) {
   const pf::FlowContext flow_ctx = make_flow_context(ctx);
   try {
-    return to_decision(engine_->evaluate_compiled(flow_ctx));
+    return to_decision(engine_->evaluate(flow_ctx));
   } catch (const PolicyError& e) {
     // Administrator configuration error: fail closed.
     IDXX_LOG(kError, "controller")

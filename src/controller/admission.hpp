@@ -426,8 +426,8 @@ class PolicyDecisionEngine : public DecisionEngine {
   PolicyDecisionEngine(pf::Ruleset ruleset, pf::FunctionRegistry registry,
                        bool honor_keep_state = true);
 
-  /// One flow through pf::PolicyEngine::evaluate_compiled, failing
-  /// closed (block) on PolicyError.
+  /// One flow through pf::PolicyEngine::evaluate, failing closed (block)
+  /// on PolicyError.
   AdmissionDecision decide(const AdmissionContext& ctx) override;
   /// decide() on each distinct 5-tuple of the batch, in order; repeat
   /// packet-ins of one flow share its decision (DESIGN.md §11).  A

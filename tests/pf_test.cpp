@@ -275,6 +275,13 @@ TEST(Eval, UnknownFunctionThrowsPolicyError) {
   ctx.flow = flow("1.1.1.1", "2.2.2.2");
   EXPECT_THROW((void)run_policy("pass all with frob(@src[a], b)\n", ctx),
                PolicyError);
+  // The error surfaces only when the scan reaches the call: a flow whose
+  // endpoints miss the rule never looks the function up, and the rules
+  // before it decide.
+  const char* policy = "block all\npass from 10.0.0.0/8 to any with frob(x)\n";
+  EXPECT_NO_THROW({ EXPECT_FALSE(run_policy(policy, ctx).allowed()); });
+  ctx.flow = flow("10.0.0.1", "2.2.2.2");
+  EXPECT_THROW((void)run_policy(policy, ctx), PolicyError);
 }
 
 TEST(Eval, VerdictIdentifiesMatchedRule) {
@@ -380,19 +387,59 @@ TEST(Eval, UnknownUserDictThrows) {
 }
 
 TEST(Eval, FlowDictExtension) {
-  FlowContext ctx;
-  ctx.flow = flow("1.1.1.1", "2.2.2.2", 80, 40000);
+  // The parser accepts the keys is_flow_key names, and the evaluator must
+  // define every one of them: the 5-tuple keys always, the OpenFlow-only
+  // keys only when the context carries a TenTuple.  Dropping a key from
+  // either side, or moving one between the two groups, fails here.
+  struct FlowKeyCase {
+    const char* key;
+    const char* value;  ///< its value in `with` below
+    bool five_tuple;    ///< defined without a TenTuple too
+  };
+  const FlowKeyCase cases[] = {
+      {"src_ip", "1.1.1.1", true},
+      {"dst_ip", "2.2.2.2", true},
+      {"proto", "tcp", true},
+      {"src_port", "40000", true},
+      {"dst_port", "80", true},
+      {"in_port", "3", false},
+      {"src_mac", "02:00:00:00:00:07", false},
+      {"dst_mac", "02:00:00:00:00:09", false},
+      {"vlan", "12", false},
+      {"ether_type", "2048", false},
+  };
+  FlowContext without;
+  without.flow = flow("1.1.1.1", "2.2.2.2", 80, 40000);
+  FlowContext with = without;
   net::TenTuple of;
   of.in_port = 3;
-  ctx.openflow = of;
-  EXPECT_TRUE(run_policy("block all\npass all with eq(@flow[in_port], 3)\n", ctx)
-                  .allowed());
-  EXPECT_TRUE(
-      run_policy("block all\npass all with eq(@flow[dst_port], 80)\n", ctx)
-          .allowed());
-  EXPECT_TRUE(
-      run_policy("block all\npass all with eq(@flow[src_ip], 1.1.1.1)\n", ctx)
-          .allowed());
+  of.src_mac = net::MacAddress::for_node(7);
+  of.dst_mac = net::MacAddress::for_node(9);
+  of.vlan_id = 12;
+  with.openflow = of;
+
+  const Ruleset no_rules;
+  const FunctionRegistry registry = FunctionRegistry::with_builtins();
+  EngineStats stats;
+  const auto lookup = [&](const FlowContext& ctx, const char* key) {
+    const EvalContext eval(ctx, no_rules, registry, stats);
+    return eval.eval_expr(Expr{DictIndexExpr{"flow", key, false}});
+  };
+  for (const FlowKeyCase& c : cases) {
+    SCOPED_TRACE(c.key);
+    EXPECT_TRUE(is_flow_key(c.key));
+    EXPECT_EQ(lookup(with, c.key), Value{std::string(c.value)});
+    EXPECT_EQ(is_undefined(lookup(without, c.key)), !c.five_tuple);
+    const std::string policy = std::string("block all\npass all with eq(@flow[") +
+                               c.key + "], \"" + c.value + "\")\n";
+    EXPECT_TRUE(run_policy(policy, with).allowed());
+    EXPECT_EQ(run_policy(policy, without).allowed(), c.five_tuple);
+  }
+  for (const char* key : {"srcport", "vlan_id", "eth_type", ""}) {
+    SCOPED_TRACE(key);
+    EXPECT_FALSE(is_flow_key(key));
+    EXPECT_TRUE(is_undefined(lookup(with, key)));
+  }
 }
 
 TEST(Eval, UnknownFlowKeyRejectedAtParseTime) {

@@ -2,14 +2,18 @@
 //
 // Lets an administrator answer "what would the controller decide?" without
 // touching the network: supply the policy file(s), the flow 5-tuple, and
-// the key-value pairs the two daemons would return.
+// the key-value pairs the two daemons would return.  The verdict comes from
+// pf::PolicyEngine::evaluate, the evaluator the controller decides through.
+// One difference: a PolicyError (an unknown table, function or dictionary
+// the scan reaches) exits 1 with its message here, where the controller
+// logs it and blocks the flow.
 //
 //   $ pfeval --policy 50-skype.control <backslash>
 //            --flow tcp:192.168.0.10:40000:192.168.0.11:5555 <backslash>
 //            --src name=skype,version=210 --dst name=skype
 //   pass (rule at 50-skype.control:5) [keep-state=no quick=no log=no]
 //
-// Exit status: 0 = pass, 2 = block, 1 = usage/parse error.
+// Exit status: 0 = pass, 2 = block, 1 = usage, parse or policy error.
 
 #include <cstdio>
 #include <cstring>
