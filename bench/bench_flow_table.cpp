@@ -131,6 +131,31 @@ void BM_InsertWithEviction(benchmark::State& state) {
 }
 BENCHMARK(BM_InsertWithEviction)->Arg(1024)->Arg(8192);
 
+void BM_FlowTableChurn(benchmark::State& state) {
+  // The admission steady state at perfbench's table size: every new flow
+  // installs an exact entry into a full table (evicting the LRU one) and
+  // its later packets hit it, while older flows' packets still arrive.
+  const auto capacity = state.range(0);
+  FlowTable table(static_cast<std::size_t>(capacity));
+  fill_exact(table, capacity);
+  std::uint64_t i = static_cast<std::uint64_t>(capacity);
+  util::SplitMix64 rng(4);
+  for (auto _ : state) {
+    FlowEntry entry;
+    entry.match = FlowMatch::exact(tuple_for(i));
+    entry.action = openflow::DropAction{};
+    table.insert(std::move(entry), static_cast<sim::SimTime>(i));
+    benchmark::DoNotOptimize(
+        table.lookup(tuple_for(i), static_cast<sim::SimTime>(i), 100));
+    const auto older = i - rng.next_below(static_cast<std::uint64_t>(capacity / 2));
+    benchmark::DoNotOptimize(
+        table.lookup(tuple_for(older), static_cast<sim::SimTime>(i), 100));
+    ++i;
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_FlowTableChurn)->Arg(1024);
+
 void BM_ExpireSweep(benchmark::State& state) {
   for (auto _ : state) {
     state.PauseTiming();

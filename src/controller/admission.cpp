@@ -489,6 +489,7 @@ void ControllerStats::accumulate(const ControllerStats& other) noexcept {
   query_retries += other.query_retries;
   duplicate_responses += other.duplicate_responses;
   degraded_verdicts += other.degraded_verdicts;
+  dedupe_memo_evictions += other.dedupe_memo_evictions;
 }
 
 bool audit_record_before(const DecisionRecord& a,

@@ -185,6 +185,9 @@ struct ControllerStats {
   std::uint64_t query_retries = 0;       ///< re-issued queries (§14)
   std::uint64_t duplicate_responses = 0; ///< deduped daemon responses
   std::uint64_t degraded_verdicts = 0;   ///< fail-closed degraded covers
+  /// Response-memo sightings retired early because the memo was full
+  /// (RecentKeys::kMaxSightings); a §5 flood signal, printed nowhere.
+  std::uint64_t dedupe_memo_evictions = 0;
 
   [[nodiscard]] bool operator==(const ControllerStats&) const = default;
 
@@ -661,6 +664,7 @@ class AdmissionObserver {
   virtual void on_query_timeout(const net::FiveTuple&) {}
   virtual void on_query_retry(const net::FiveTuple&, net::Ipv4Address) {}
   virtual void on_duplicate_response(net::Ipv4Address /*responder*/) {}
+  virtual void on_dedupe_memo_full() {}
   virtual void on_query_proxied(const net::FiveTuple&) {}
   virtual void on_cache_hit(const net::FiveTuple&, const AdmissionDecision&) {}
   virtual void on_decision(const DecisionRecord&, const AdmissionDecision&) {}
@@ -693,6 +697,7 @@ class StatsObserver : public AdmissionObserver {
   void on_duplicate_response(net::Ipv4Address) override {
     ++stats_.duplicate_responses;
   }
+  void on_dedupe_memo_full() override { ++stats_.dedupe_memo_evictions; }
   void on_query_proxied(const net::FiveTuple&) override {
     ++stats_.queries_proxied;
   }

@@ -185,17 +185,16 @@ bool IdentxxController::try_consume_response(const openflow::PacketIn& msg,
   bool duplicate = false;
   AdmissionContext* ctx =
       collector().accept_response(responder, peer, response, &duplicate);
-  // The memo key covers the response body AND the carrying packet's ports:
-  // a channel-duplicated punt is byte-identical (same controller query
-  // port), while a fresh response about the same flow — e.g. an end host
-  // querying its peer directly (§4) — arrives on a different ephemeral
-  // port and must still transit.
+  // The memo key covers the flow-oriented 5-tuple AND the carrying
+  // packet's ports: a channel-duplicated punt is byte-identical (same
+  // controller query port), while a fresh response about the same flow —
+  // e.g. an end host querying its peer directly (§4) — arrives on a
+  // different ephemeral port and must still transit.
   const net::FiveTuple as_src{responder, peer, response.proto,
                               response.src_port, response.dst_port};
   const net::FiveTuple pkt = msg.packet.five_tuple();
-  const std::string key = as_src.to_string() + "|" +
-                          std::to_string(pkt.src_port) + ":" +
-                          std::to_string(pkt.dst_port);
+  const auto key = RecentKeys::Key::of(
+      as_src, (std::uint32_t{pkt.src_port} << 16) | pkt.dst_port);
   const sim::SimTime now = simulator().now();
   if (ctx == nullptr) {
     // No pending flow — but if this exact packet was consumed moments
@@ -215,7 +214,7 @@ bool IdentxxController::try_consume_response(const openflow::PacketIn& msg,
     notify([&](AdmissionObserver& o) { o.on_duplicate_response(responder); });
     return true;
   }
-  recent_responses_.insert(key, now);
+  remember(recent_responses_, key, now);
   notify([&](AdmissionObserver& o) { o.on_response_received(responder); });
   decide_if_ready(*ctx);
   return true;
@@ -234,20 +233,27 @@ void IdentxxController::handle_transit_response(const openflow::PacketIn& msg,
                               response.src_port, response.dst_port};
   openflow::PacketIn forwarded = msg;
   if (augmenter_) {
-    const std::string key = as_src.to_string() + "|" + responder.to_string();
+    const auto key = RecentKeys::Key::of(as_src, responder.value());
     const sim::SimTime now = simulator().now();
     if (!augmented_.contains(key, now)) {
       if (auto section = augmenter_(response, as_src)) {
         proto::Response augmented = response;
         augmented.append_section(std::move(*section));
         forwarded.packet.set_payload_text(augmented.serialize());
-        augmented_.insert(key, now);
+        remember(augmented_, key, now);
         notify([&](AdmissionObserver& o) { o.on_response_augmented(as_src); });
       }
     }
   }
   notify([&](AdmissionObserver& o) { o.on_transit_forwarded(as_src); });
   forward_one_hop(forwarded, peer);
+}
+
+void IdentxxController::remember(RecentKeys& memo, const RecentKeys::Key& key,
+                                 sim::SimTime now) {
+  if (memo.insert(key, now)) {
+    notify([](AdmissionObserver& o) { o.on_dedupe_memo_full(); });
+  }
 }
 
 void IdentxxController::forward_one_hop(const openflow::PacketIn& msg,

@@ -29,14 +29,12 @@
 // cache, planning, collection, decision, installation — lives in the
 // pipeline stages (admission.hpp), where the baselines share it.
 
-#include <deque>
 #include <functional>
 #include <optional>
-#include <string>
-#include <unordered_map>
 #include <utility>
 
 #include "controller/admission_controller.hpp"
+#include "controller/recent_keys.hpp"
 #include "util/rng.hpp"
 
 namespace identxx::ctrl {
@@ -118,6 +116,12 @@ class IdentxxController : public AdmissionController {
   /// Throws when the decision engine was replaced with a non-PF engine.
   [[nodiscard]] const pf::PolicyEngine& engine() const;
 
+  /// Distinct responses held by the consumed-response dedupe memo (at
+  /// most RecentKeys::kMaxSightings).
+  [[nodiscard]] std::size_t recent_response_count() const noexcept {
+    return recent_responses_.size();
+  }
+
  protected:
   // ---- AdmissionController hooks -------------------------------------------
 
@@ -143,42 +147,8 @@ class IdentxxController : public AdmissionController {
   void handle_transit_query(const openflow::PacketIn& msg);
   void forward_one_hop(const openflow::PacketIn& msg,
                        net::Ipv4Address toward_ip);
-
-  /// Keys seen less than `window` ago: a map from key to its latest
-  /// sighting plus a FIFO of (time, key) sightings.  Each insert pops the
-  /// expired sightings off the front, so memory tracks the keys inside the
-  /// window and every sighting is retired once, in O(1) amortised — no
-  /// sweep over the whole map.  Virtual time never runs backwards.
-  class RecentKeys {
-   public:
-    explicit RecentKeys(sim::SimTime window) : window_(window) {}
-
-    [[nodiscard]] bool contains(const std::string& key,
-                                sim::SimTime now) const {
-      const auto it = latest_.find(key);
-      return it != latest_.end() && now - it->second < window_;
-    }
-
-    void insert(const std::string& key, sim::SimTime now) {
-      while (!fifo_.empty() && now - fifo_.front().first >= window_) {
-        const auto& [when, old_key] = fifo_.front();
-        // A key re-inserted since this sighting is retired by its own
-        // later FIFO entry.
-        if (const auto it = latest_.find(old_key);
-            it != latest_.end() && it->second == when) {
-          latest_.erase(it);
-        }
-        fifo_.pop_front();
-      }
-      latest_[key] = now;
-      fifo_.emplace_back(now, key);
-    }
-
-   private:
-    sim::SimTime window_;
-    std::unordered_map<std::string, sim::SimTime> latest_;
-    std::deque<std::pair<sim::SimTime, std::string>> fifo_;
-  };
+  /// Record a sighting in `memo`, counting an early retirement.
+  void remember(RecentKeys& memo, const RecentKeys::Key& key, sim::SimTime now);
 
   /// Responses this controller recently augmented, so a response punted at
   /// every hop through the domain is only augmented once.  Time-bounded:

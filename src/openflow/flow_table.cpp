@@ -51,6 +51,19 @@ std::string to_string(const Action& action) {
   return std::visit(Visitor{}, action);
 }
 
+std::uint64_t FlowTable::TupleHash::operator()(
+    const net::TenTuple& t) const noexcept {
+  const std::uint64_t ips =
+      (std::uint64_t{t.src_ip.value()} << 32) | t.dst_ip.value();
+  const std::uint64_t ports = (std::uint64_t{t.src_port} << 48) |
+                              (std::uint64_t{t.dst_port} << 32) |
+                              (std::uint64_t{static_cast<std::uint8_t>(t.proto)} << 16) |
+                              t.in_port;
+  const std::uint64_t src_l2 = t.src_mac.value() | (std::uint64_t{t.ether_type} << 48);
+  const std::uint64_t dst_l2 = t.dst_mac.value() | (std::uint64_t{t.vlan_id} << 48);
+  return util::hash_words(util::hash_words(ips, ports) ^ src_l2, dst_l2);
+}
+
 bool FlowTable::shape_fits(const Shape& shape, const FlowMatch& match) noexcept {
   return shape.wildcards == match.wildcards &&
          shape.src_prefix ==
@@ -78,15 +91,30 @@ RemovalReason FlowTable::expiry_reason(const FlowEntry& e,
              : RemovalReason::kIdleTimeout;
 }
 
-void FlowTable::cookie_added(std::uint64_t cookie) noexcept {
-  if (cookie != 0) ++cookie_counts_[cookie];
+std::size_t FlowTable::find_bucket(std::uint16_t priority) const noexcept {
+  const auto it = std::partition_point(
+      wild_.begin(), wild_.end(),
+      [priority](const Bucket& b) { return b.priority > priority; });
+  return it != wild_.end() && it->priority == priority
+             ? static_cast<std::size_t>(it - wild_.begin())
+             : wild_.size();
+}
+
+void FlowTable::cookie_added(std::uint64_t cookie) {
+  if (cookie == 0) return;
+  const std::uint32_t h = CookieCounts::hash(cookie);
+  if (const auto i = cookie_counts_.find(cookie, h); i != CookieCounts::npos) {
+    ++cookie_counts_.value_at(i);
+  } else {
+    cookie_counts_.insert(cookie, h, 1);
+  }
 }
 
 void FlowTable::cookie_removed(std::uint64_t cookie) noexcept {
   if (cookie == 0) return;
-  const auto it = cookie_counts_.find(cookie);
-  if (it == cookie_counts_.end()) return;
-  if (--it->second == 0) cookie_counts_.erase(it);
+  const auto i = cookie_counts_.find(cookie, CookieCounts::hash(cookie));
+  if (i == CookieCounts::npos) return;
+  if (--cookie_counts_.value_at(i) == 0) cookie_counts_.erase_at(i);
 }
 
 void FlowTable::notify_removal(const FlowEntry& entry, RemovalReason reason) {
@@ -94,41 +122,117 @@ void FlowTable::notify_removal(const FlowEntry& entry, RemovalReason reason) {
   if (removal_listener_) removal_listener_(entry, reason);
 }
 
-void FlowTable::erase_stored(Iter it, RemovalReason reason) {
-  const FlowEntry entry = std::move(*it);
+void FlowTable::link_front(Slot slot) noexcept {
+  Node& node = nodes_[slot];
+  node.prev = kNil;
+  node.next = head_;
+  if (head_ != kNil) {
+    nodes_[head_].prev = slot;
+  } else {
+    tail_ = slot;
+  }
+  head_ = slot;
+}
+
+void FlowTable::unlink(Slot slot) noexcept {
+  const Node& node = nodes_[slot];
+  if (node.prev != kNil) {
+    nodes_[node.prev].next = node.next;
+  } else {
+    head_ = node.next;
+  }
+  if (node.next != kNil) {
+    nodes_[node.next].prev = node.prev;
+  } else {
+    tail_ = node.prev;
+  }
+}
+
+void FlowTable::move_to_front(Slot slot) noexcept {
+  if (head_ == slot) return;
+  unlink(slot);
+  link_front(slot);
+}
+
+FlowTable::Slot FlowTable::emplace_front(FlowEntry entry,
+                                         const net::TenTuple& key,
+                                         std::uint32_t hash) {
+  Slot slot = free_;
+  if (slot != kNil) {
+    free_ = nodes_[slot].next;
+    nodes_[slot].entry = std::move(entry);
+  } else {
+    slot = static_cast<Slot>(nodes_.size());
+    nodes_.push_back(Node{std::move(entry), {}, 0, kNil, kNil});
+  }
+  nodes_[slot].key = key;
+  nodes_[slot].hash = hash;
+  link_front(slot);
+  ++size_;
+  return slot;
+}
+
+void FlowTable::overwrite_stored(Slot slot, FlowEntry fresh) {
+  FlowEntry& stored = nodes_[slot].entry;
+  if (stored.cookie != fresh.cookie) {
+    // A cookie-changing overwrite deletes the old rule as far as its
+    // owner can tell — notify, or the controller's cookie map never
+    // learns the old cookie left this table.
+    cookie_removed(stored.cookie);
+    cookie_added(fresh.cookie);
+    notify_removal(stored, RemovalReason::kDeleted);
+  }
+  overwrite(nodes_[slot].entry, std::move(fresh));
+  move_to_front(slot);  // refresh recency
+}
+
+void FlowTable::erase_stored(Slot slot, RemovalReason reason) {
+  Node& node = nodes_[slot];
+  const FlowEntry entry = std::move(node.entry);
   cookie_removed(entry.cookie);
   if (entry.match.is_exact()) {
-    exact_.erase(entry.match.key());
-  } else if (const auto bit = wild_.find(entry.priority); bit != wild_.end()) {
-    Bucket& bucket = bit->second;
+    if (const auto i = exact_.find(node.key, node.hash); i != SlotIndex::npos) {
+      exact_.erase_at(i);
+    }
+  } else if (const std::size_t b = find_bucket(entry.priority); b < wild_.size()) {
+    Bucket& bucket = wild_[b];
     for (std::size_t i = 0; i < bucket.shapes.size(); ++i) {
       if (!shape_fits(bucket.shapes[i], entry.match)) continue;
-      bucket.shapes[i].by_key.erase(entry.match.key());
-      if (bucket.shapes[i].by_key.empty()) {
+      SlotIndex& by_key = bucket.shapes[i].by_key;
+      if (const auto k = by_key.find(node.key, node.hash); k != SlotIndex::npos) {
+        by_key.erase_at(k);
+      }
+      if (by_key.empty()) {
         bucket.shapes.erase(bucket.shapes.begin() +
                             static_cast<std::ptrdiff_t>(i));
       }
       break;
     }
-    if (bucket.shapes.empty()) wild_.erase(bit);
+    if (bucket.shapes.empty()) {
+      wild_.erase(wild_.begin() + static_cast<std::ptrdiff_t>(b));
+    }
   }
-  order_.erase(it);
+  unlink(slot);
+  node.next = free_;
+  free_ = slot;
+  --size_;
   notify_removal(entry, reason);
 }
 
 void FlowTable::evict_lru() {
-  if (order_.empty()) return;
-  erase_stored(std::prev(order_.end()), RemovalReason::kEvicted);
+  if (tail_ == kNil) return;
+  erase_stored(tail_, RemovalReason::kEvicted);
 }
 
-const FlowEntry* FlowTable::touch(Iter it, sim::SimTime now,
+const FlowEntry* FlowTable::touch(Slot slot, sim::SimTime now,
                                   std::size_t packet_bytes) {
-  it->last_used_at = now;
-  ++it->packet_count;
-  it->byte_count += packet_bytes;
-  order_.splice(order_.begin(), order_, it);
+  FlowEntry& entry = nodes_[slot].entry;
+  entry.last_used_at = now;
+  ++entry.packet_count;
+  entry.byte_count += packet_bytes;
+  move_to_front(slot);
   ++stats_.hits;
-  return &*it;
+  return &entry;
 }
 
 void FlowTable::insert(FlowEntry entry, sim::SimTime now) {
@@ -136,52 +240,39 @@ void FlowTable::insert(FlowEntry entry, sim::SimTime now) {
   entry.last_used_at = now;
   ++stats_.inserts;
   const net::TenTuple key = entry.match.key();
+  const std::uint32_t hash = SlotIndex::hash(key);
 
   if (entry.match.is_exact()) {
-    if (const auto it = exact_.find(key); it != exact_.end()) {
+    if (const auto i = exact_.find(key, hash); i != SlotIndex::npos) {
+      const Slot slot = exact_.value_at(i);
+      const FlowEntry& stored = nodes_[slot].entry;
       // An expired-but-unswept entry is replaced, not refreshed: its
       // counters belong to a rule that already ended.
-      if (expired(*it->second, now)) {
-        erase_stored(it->second, expiry_reason(*it->second, now));
-      } else {
-        if (it->second->cookie != entry.cookie) {
-          // A cookie-changing overwrite deletes the old rule as far as
-          // its owner can tell — notify, or the controller's cookie map
-          // never learns the old cookie left this table.
-          cookie_removed(it->second->cookie);
-          cookie_added(entry.cookie);
-          notify_removal(*it->second, RemovalReason::kDeleted);
-        }
-        overwrite(*it->second, std::move(entry));
-        order_.splice(order_.begin(), order_, it->second);  // refresh recency
+      if (!expired(stored, now)) {
+        overwrite_stored(slot, std::move(entry));
         return;
       }
+      erase_stored(slot, expiry_reason(stored, now));
     }
     if (size() >= capacity_) evict_lru();
     cookie_added(entry.cookie);
-    order_.push_front(std::move(entry));
-    exact_.emplace(key, order_.begin());
+    exact_.insert(key, hash, emplace_front(std::move(entry), key, hash));
     return;
   }
 
   // Overwrite an existing wildcard entry covering the same packets at the
   // same priority.
-  if (const auto bit = wild_.find(entry.priority); bit != wild_.end()) {
-    for (Shape& shape : bit->second.shapes) {
+  if (const std::size_t b = find_bucket(entry.priority); b < wild_.size()) {
+    for (Shape& shape : wild_[b].shapes) {
       if (!shape_fits(shape, entry.match)) continue;
-      if (const auto it = shape.by_key.find(key); it != shape.by_key.end()) {
-        if (expired(*it->second, now)) {
-          erase_stored(it->second, expiry_reason(*it->second, now));
-          break;  // insert fresh below
+      if (const auto i = shape.by_key.find(key, hash); i != SlotIndex::npos) {
+        const Slot slot = shape.by_key.value_at(i);
+        const FlowEntry& stored = nodes_[slot].entry;
+        if (!expired(stored, now)) {
+          overwrite_stored(slot, std::move(entry));
+          return;
         }
-        if (it->second->cookie != entry.cookie) {
-          cookie_removed(it->second->cookie);
-          cookie_added(entry.cookie);
-          notify_removal(*it->second, RemovalReason::kDeleted);
-        }
-        overwrite(*it->second, std::move(entry));
-        order_.splice(order_.begin(), order_, it->second);
-        return;
+        erase_stored(slot, expiry_reason(stored, now));  // insert fresh below
       }
       break;  // at most one shape fits
     }
@@ -189,9 +280,18 @@ void FlowTable::insert(FlowEntry entry, sim::SimTime now) {
 
   if (size() >= capacity_) evict_lru();  // may prune shapes/buckets
   cookie_added(entry.cookie);
-  order_.push_front(std::move(entry));
-  const FlowMatch& match = order_.front().match;
-  Bucket& bucket = wild_[order_.front().priority];
+  const Slot slot = emplace_front(std::move(entry), key, hash);
+  const FlowMatch& match = nodes_[slot].entry.match;
+  const std::uint16_t priority = nodes_[slot].entry.priority;
+  std::size_t b = find_bucket(priority);
+  if (b == wild_.size()) {
+    const auto at = std::partition_point(
+        wild_.begin(), wild_.end(),
+        [priority](const Bucket& x) { return x.priority > priority; });
+    b = static_cast<std::size_t>(at - wild_.begin());
+    wild_.insert(at, Bucket{priority, {}});
+  }
+  Bucket& bucket = wild_[b];
   Shape* shape = nullptr;
   for (Shape& candidate : bucket.shapes) {
     if (shape_fits(candidate, match)) {
@@ -209,7 +309,7 @@ void FlowTable::insert(FlowEntry entry, sim::SimTime now) {
         {}});
     shape = &bucket.shapes.back();
   }
-  shape->by_key.emplace(key, order_.begin());
+  shape->by_key.insert(key, hash, slot);
 }
 
 const FlowEntry* FlowTable::lookup(const net::TenTuple& tuple, sim::SimTime now,
@@ -220,57 +320,68 @@ const FlowEntry* FlowTable::lookup(const net::TenTuple& tuple, sim::SimTime now,
   // higher priority also matches.  (The seed returned the exact hit
   // unconditionally, shadowing high-priority wildcard drop/quarantine
   // rules — the wildcard-shadowing regression in tests/openflow_test.cpp.)
-  Iter exact_hit = order_.end();
-  if (const auto it = exact_.find(tuple); it != exact_.end()) {
-    if (expired(*it->second, now)) {
-      erase_stored(it->second, expiry_reason(*it->second, now));
+  Slot exact_hit = kNil;
+  if (const auto i = exact_.empty() ? SlotIndex::npos
+                                    : exact_.find(tuple, SlotIndex::hash(tuple));
+      i != SlotIndex::npos) {
+    const Slot slot = exact_.value_at(i);
+    const FlowEntry& stored = nodes_[slot].entry;
+    if (expired(stored, now)) {
+      erase_stored(slot, expiry_reason(stored, now));
     } else {
-      exact_hit = it->second;
+      exact_hit = slot;
     }
   }
-  const bool have_exact = exact_hit != order_.end();
 
-  auto bit = wild_.begin();
-  while (bit != wild_.end()) {
-    const std::uint16_t bucket_priority = bit->first;
-    if (have_exact && bucket_priority <= exact_hit->priority) break;
-    Bucket& bucket = bit->second;
-    Iter matched = order_.end();
-    Iter dead[2];
+  std::size_t b = 0;
+  while (b < wild_.size()) {
+    const std::uint16_t bucket_priority = wild_[b].priority;
+    if (exact_hit != kNil && bucket_priority <= nodes_[exact_hit].entry.priority) {
+      break;
+    }
+    Slot matched = kNil;
+    Slot dead[2];
     std::size_t dead_count = 0;
-    std::vector<Iter> dead_overflow;
-    for (Shape& shape : bucket.shapes) {
-      const auto kit = shape.by_key.find(
+    std::vector<Slot> dead_overflow;
+    for (const Shape& shape : wild_[b].shapes) {
+      const net::TenTuple key =
           project_tuple(tuple, shape.wildcards, shape.src_prefix,
                         shape.dst_prefix, shape.src_port_mask,
-                        shape.dst_port_mask));
-      if (kit == shape.by_key.end()) continue;
-      if (expired(*kit->second, now)) {
+                        shape.dst_port_mask);
+      const auto i = shape.by_key.find(key, SlotIndex::hash(key));
+      if (i == SlotIndex::npos) continue;
+      const Slot slot = shape.by_key.value_at(i);
+      if (expired(nodes_[slot].entry, now)) {
         if (dead_count < 2) {
-          dead[dead_count++] = kit->second;
+          dead[dead_count++] = slot;
         } else {
-          dead_overflow.push_back(kit->second);
+          dead_overflow.push_back(slot);
         }
         continue;
       }
-      matched = kit->second;
+      matched = slot;
       break;
     }
     // Remove expired entries only after the shape scan: erase_stored may
-    // prune shapes (and this bucket, and even rebalance wild_), which
-    // would invalidate the references the scan holds.
+    // prune shapes (and this bucket, shifting wild_), which would
+    // invalidate the references the scan holds.
     for (std::size_t i = 0; i < dead_count; ++i) {
-      erase_stored(dead[i], expiry_reason(*dead[i], now));
+      erase_stored(dead[i], expiry_reason(nodes_[dead[i]].entry, now));
     }
-    for (const Iter it : dead_overflow) {
-      erase_stored(it, expiry_reason(*it, now));
+    for (const Slot slot : dead_overflow) {
+      erase_stored(slot, expiry_reason(nodes_[slot].entry, now));
     }
-    if (matched != order_.end()) return touch(matched, now, packet_bytes);
+    if (matched != kNil) return touch(matched, now, packet_bytes);
     // Re-seek: the bucket (or others) may have been erased above.
-    bit = wild_.upper_bound(bucket_priority);
+    b = static_cast<std::size_t>(
+        std::partition_point(wild_.begin(), wild_.end(),
+                             [bucket_priority](const Bucket& x) {
+                               return x.priority >= bucket_priority;
+                             }) -
+        wild_.begin());
   }
 
-  if (have_exact) return touch(exact_hit, now, packet_bytes);
+  if (exact_hit != kNil) return touch(exact_hit, now, packet_bytes);
   ++stats_.misses;
   return nullptr;
 }
@@ -278,17 +389,18 @@ const FlowEntry* FlowTable::lookup(const net::TenTuple& tuple, sim::SimTime now,
 const FlowEntry* FlowTable::find(const FlowMatch& match, std::uint16_t priority,
                                  sim::SimTime now) const {
   const net::TenTuple key = match.key();
+  const std::uint32_t hash = SlotIndex::hash(key);
   const FlowEntry* entry = nullptr;
   if (match.is_exact()) {
-    if (const auto it = exact_.find(key);
-        it != exact_.end() && it->second->priority == priority) {
-      entry = &*it->second;
+    if (const auto i = exact_.find(key, hash); i != SlotIndex::npos) {
+      const FlowEntry& stored = nodes_[exact_.value_at(i)].entry;
+      if (stored.priority == priority) entry = &stored;
     }
-  } else if (const auto bit = wild_.find(priority); bit != wild_.end()) {
-    for (const Shape& shape : bit->second.shapes) {
+  } else if (const std::size_t b = find_bucket(priority); b < wild_.size()) {
+    for (const Shape& shape : wild_[b].shapes) {
       if (!shape_fits(shape, match)) continue;
-      if (const auto kit = shape.by_key.find(key); kit != shape.by_key.end()) {
-        entry = &*kit->second;
+      if (const auto i = shape.by_key.find(key, hash); i != SlotIndex::npos) {
+        entry = &nodes_[shape.by_key.value_at(i)].entry;
       }
       break;
     }
@@ -300,42 +412,50 @@ const FlowEntry* FlowTable::find(const FlowMatch& match, std::uint16_t priority,
 std::size_t FlowTable::remove_if(
     const std::function<bool(const FlowEntry&)>& pred) {
   std::size_t removed = 0;
-  for (auto it = order_.begin(); it != order_.end();) {
-    const auto next = std::next(it);
-    if (pred(*it)) {
-      erase_stored(it, RemovalReason::kDeleted);
+  for (Slot slot = head_; slot != kNil;) {
+    const Slot next = nodes_[slot].next;
+    if (pred(nodes_[slot].entry)) {
+      erase_stored(slot, RemovalReason::kDeleted);
       ++removed;
     }
-    it = next;
+    slot = next;
   }
   return removed;
 }
 
 std::size_t FlowTable::expire(sim::SimTime now) {
   std::size_t removed = 0;
-  for (auto it = order_.begin(); it != order_.end();) {
-    const auto next = std::next(it);
-    if (expired(*it, now)) {
-      erase_stored(it, expiry_reason(*it, now));
+  for (Slot slot = head_; slot != kNil;) {
+    const Slot next = nodes_[slot].next;
+    const FlowEntry& entry = nodes_[slot].entry;
+    if (expired(entry, now)) {
+      erase_stored(slot, expiry_reason(entry, now));
       ++removed;
     }
-    it = next;
+    slot = next;
   }
   return removed;
 }
 
 void FlowTable::clear() {
-  for (const FlowEntry& entry : order_) {
-    notify_removal(entry, RemovalReason::kDeleted);
+  for (Slot slot = head_; slot != kNil; slot = nodes_[slot].next) {
+    notify_removal(nodes_[slot].entry, RemovalReason::kDeleted);
   }
-  order_.clear();
+  nodes_.clear();
+  size_ = 0;
+  head_ = tail_ = free_ = kNil;
   exact_.clear();
   wild_.clear();
   cookie_counts_.clear();
 }
 
 std::vector<FlowEntry> FlowTable::entries() const {
-  return {order_.begin(), order_.end()};
+  std::vector<FlowEntry> out;
+  out.reserve(size_);
+  for (Slot slot = head_; slot != kNil; slot = nodes_[slot].next) {
+    out.push_back(nodes_[slot].entry);
+  }
+  return out;
 }
 
 }  // namespace identxx::openflow

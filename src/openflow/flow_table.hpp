@@ -6,14 +6,14 @@
 // entry to cache its allow/drop decision so later packets of the flow
 // never reach the controller.
 //
-// Lookup strategy (DESIGN.md §8): entries whose match is fully exact go
-// into a hash map keyed by the 10-tuple (O(1) hit path — the dominant
-// case under ident++, which installs exact entries).  Wildcard entries
-// live in per-priority buckets, each bucket partitioned into tuple-space
-// "shapes" (one per distinct wildcard mask + prefix lengths); within a
-// shape a lookup is a single hash probe on the tuple projected onto the
-// shape's constrained fields.  Aggregated tables therefore cost
-// O(buckets × shapes-per-bucket), not O(entries).
+// Lookup strategy (DESIGN.md §8): entries whose match is fully exact are
+// indexed by their 10-tuple in one open-addressed table (O(1) hit path —
+// the dominant case under ident++, which installs exact entries).
+// Wildcard entries live in per-priority buckets, each bucket partitioned
+// into tuple-space "shapes" (one per distinct wildcard mask + prefix
+// lengths); within a shape a lookup is a single hash probe on the tuple
+// projected onto the shape's constrained fields.  Aggregated tables
+// therefore cost O(buckets × shapes-per-bucket), not O(entries).
 //
 // Priority semantics: an exact hit wins over wildcard entries of equal or
 // lower priority, but a wildcard entry of *strictly higher* priority that
@@ -22,20 +22,21 @@
 // unconditionally, which silently shadowed high-priority wildcard
 // quarantine/drop rules.
 //
-// Recency: every use splices the entry to the front of an intrusive LRU
-// list, so capacity eviction is O(1) — pop the back.
+// Storage (DESIGN.md §8.1): entries sit in a slab (one vector plus a free
+// list) and every index maps a key to a slab slot.  Recency is a doubly
+// linked list through slot numbers, so a use moves an entry to the front
+// and capacity eviction takes the back, both O(1).  Nothing is allocated
+// per entry: once the slab and indices have grown to the table's working
+// size, an insert that evicts allocates nothing.
 
 #include <cstdint>
 #include <functional>
-#include <list>
-#include <map>
-#include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "openflow/actions.hpp"
 #include "openflow/match.hpp"
 #include "sim/simulator.hpp"
+#include "util/flat_map.hpp"
 
 namespace identxx::openflow {
 
@@ -73,7 +74,8 @@ class FlowTable {
   /// `capacity` caps the number of entries (hardware TCAM analogue);
   /// inserts beyond it evict the least-recently-used entry.  Clamped to
   /// ≥ 1 — a zero capacity would let inserts grow the table unbounded
-  /// (eviction of an empty table is a no-op).
+  /// (eviction of an empty table is a no-op).  Storage grows with use,
+  /// never to `capacity` up front.
   explicit FlowTable(std::size_t capacity = 65536)
       : capacity_(capacity == 0 ? 1 : capacity) {}
 
@@ -93,7 +95,8 @@ class FlowTable {
   void insert(FlowEntry entry, sim::SimTime now);
 
   /// Highest-priority matching entry, updating stats; nullptr on miss.
-  /// Expired entries encountered along the way are removed first.
+  /// Expired entries encountered along the way are removed first.  The
+  /// pointer is valid until the table is next modified.
   [[nodiscard]] const FlowEntry* lookup(const net::TenTuple& tuple,
                                         sim::SimTime now,
                                         std::size_t packet_bytes);
@@ -114,7 +117,7 @@ class FlowTable {
   /// Remove all entries.
   void clear();
 
-  [[nodiscard]] std::size_t size() const noexcept { return order_.size(); }
+  [[nodiscard]] std::size_t size() const noexcept { return size_; }
   [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
   [[nodiscard]] const TableStats& stats() const noexcept { return stats_; }
 
@@ -122,7 +125,8 @@ class FlowTable {
   /// cookie index — controllers use it to retire per-cookie bookkeeping
   /// the moment a cookie's last entry leaves the table.
   [[nodiscard]] bool has_cookie(std::uint64_t cookie) const noexcept {
-    return cookie_counts_.contains(cookie);
+    return cookie_counts_.find(cookie, CookieCounts::hash(cookie)) !=
+           CookieCounts::npos;
   }
 
   /// Snapshot of all entries (for tests and debugging), most recently
@@ -130,8 +134,29 @@ class FlowTable {
   [[nodiscard]] std::vector<FlowEntry> entries() const;
 
  private:
-  using Order = std::list<FlowEntry>;
-  using Iter = Order::iterator;
+  using Slot = std::uint32_t;
+  static constexpr Slot kNil = static_cast<Slot>(-1);
+  struct TupleHash {
+    std::uint64_t operator()(const net::TenTuple& t) const noexcept;
+  };
+  struct CookieHash {
+    std::uint64_t operator()(std::uint64_t cookie) const noexcept {
+      return util::hash_words(cookie, 0);
+    }
+  };
+  /// 10-tuple key (an entry's match.key()) -> slab slot.
+  using SlotIndex = util::FlatMap<net::TenTuple, Slot, TupleHash>;
+  using CookieCounts = util::FlatMap<std::uint64_t, std::uint32_t, CookieHash>;
+
+  /// One slab slot: a stored entry with its index key and recency links,
+  /// or (off the recency list) a free slot chained through `next`.
+  struct Node {
+    FlowEntry entry;
+    net::TenTuple key;       ///< entry.match.key()
+    std::uint32_t hash = 0;  ///< SlotIndex::hash(key)
+    Slot prev = kNil;        ///< toward the most recently used
+    Slot next = kNil;        ///< toward the least recently used
+  };
 
   /// One tuple-space shape within a priority bucket: the entries sharing
   /// a wildcard mask, prefix lengths and port masks, indexed by projected
@@ -142,11 +167,12 @@ class FlowTable {
     unsigned dst_prefix = 0;
     std::uint16_t src_port_mask = 0xffff;  ///< 0xffff when wildcarded
     std::uint16_t dst_port_mask = 0xffff;
-    std::unordered_map<net::TenTuple, Iter> by_key;
+    SlotIndex by_key;
   };
 
   /// All wildcard entries of one priority, shapes in creation order.
   struct Bucket {
+    std::uint16_t priority = 0;
     std::vector<Shape> shapes;
   };
 
@@ -155,25 +181,39 @@ class FlowTable {
   [[nodiscard]] bool expired(const FlowEntry& entry, sim::SimTime now) const noexcept;
   [[nodiscard]] RemovalReason expiry_reason(const FlowEntry& entry,
                                             sim::SimTime now) const noexcept;
+  /// Position of the bucket for `priority` in wild_, or wild_.size().
+  [[nodiscard]] std::size_t find_bucket(std::uint16_t priority) const noexcept;
   void notify_removal(const FlowEntry& entry, RemovalReason reason);
-  /// Unlink `it` from its index (exact map or bucket/shape) and the LRU
-  /// list, then notify.  Empty shapes and buckets are pruned.
-  void erase_stored(Iter it, RemovalReason reason);
+  /// Replace a live entry in place (OpenFlow overwrite), notifying a
+  /// cookie change as a deletion, and make it the most recently used.
+  void overwrite_stored(Slot slot, FlowEntry fresh);
+  /// Unlink `slot` from its index (exact or bucket/shape) and the recency
+  /// list, free it, then notify.  Empty shapes and buckets are pruned.
+  void erase_stored(Slot slot, RemovalReason reason);
   void evict_lru();
-  const FlowEntry* touch(Iter it, sim::SimTime now, std::size_t packet_bytes);
+  const FlowEntry* touch(Slot slot, sim::SimTime now, std::size_t packet_bytes);
+  /// Store `entry` in a free (or new) slot at the front of the recency list.
+  Slot emplace_front(FlowEntry entry, const net::TenTuple& key, std::uint32_t hash);
+  void link_front(Slot slot) noexcept;
+  void unlink(Slot slot) noexcept;
+  void move_to_front(Slot slot) noexcept;
 
-  void cookie_added(std::uint64_t cookie) noexcept;
+  void cookie_added(std::uint64_t cookie);
   void cookie_removed(std::uint64_t cookie) noexcept;
 
   std::size_t capacity_;
-  Order order_;  ///< front = most recently used; back = eviction victim
-  std::unordered_map<net::TenTuple, Iter> exact_;
+  std::vector<Node> nodes_;
+  std::size_t size_ = 0;
+  Slot head_ = kNil;  ///< most recently used
+  Slot tail_ = kNil;  ///< least recently used: the eviction victim
+  Slot free_ = kNil;  ///< free-slot chain through Node::next
+  SlotIndex exact_;
   /// Wildcard buckets, highest priority first.
-  std::map<std::uint16_t, Bucket, std::greater<std::uint16_t>> wild_;
+  std::vector<Bucket> wild_;
   /// Live entries per nonzero cookie (an entry may sit on several
   /// switches, but within one table a cookie can also cover several
   /// aggregate entries).
-  std::unordered_map<std::uint64_t, std::size_t> cookie_counts_;
+  CookieCounts cookie_counts_;
   TableStats stats_;
   RemovalListener removal_listener_;
 };

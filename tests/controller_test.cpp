@@ -441,6 +441,84 @@ TEST(ResponseDedupe, ChannelDuplicateDedupedPastEightThousandResponses) {
   EXPECT_EQ(controller.stats().ident_transit_forwarded, transits + 1);
 }
 
+TEST(ResponseDedupe, FloodPastTheMemoCapRetiresOldestAndStillDedupes) {
+  // A §5 flood: more responses consumed inside one window than the memo
+  // holds.  The memo stays at its cap, every early retirement is counted,
+  // and a channel copy of a recent response is still swallowed; only the
+  // oldest sightings lose their protection (their copies transit).
+  constexpr sim::SimTime kWindow = 1 * sim::kSecond;  // controller's window
+  constexpr std::size_t kCap = ctrl::RecentKeys::kMaxSightings;
+  constexpr int kFlows = static_cast<int>(kCap / 2) + 300;  // two responses each
+
+  struct ResponseRecorder : ctrl::AdmissionObserver {
+    sim::Simulator* simulator = nullptr;
+    std::optional<openflow::PacketIn> first;
+    std::optional<openflow::PacketIn> last;
+    sim::SimTime first_at = 0;
+    sim::SimTime last_at = 0;
+    std::size_t responses = 0;
+    void on_packet_in(const openflow::PacketIn& msg) override {
+      const auto& tcp = msg.packet.tcp;
+      if (!tcp || tcp->src_port != proto::kIdentPort) return;
+      if (!first) {
+        first = msg;
+        first_at = simulator->now();
+      }
+      last = msg;
+      last_at = simulator->now();
+      ++responses;
+    }
+  };
+
+  Network net;
+  const auto s1 = net.add_switch("s1");
+  // Two clients: one host's ephemeral port range holds fewer flows.
+  auto& client_a = net.add_host("client-a", "10.0.0.1");
+  auto& client_b = net.add_host("client-b", "10.0.0.3");
+  auto& server = net.add_host("server", "10.0.0.2");
+  net.link(client_a, s1);
+  net.link(client_b, s1);
+  net.link(server, s1);
+  auto& controller = net.install_controller("pass all\n");
+  auto recorder = std::make_unique<ResponseRecorder>();
+  recorder->simulator = &net.simulator();
+  ResponseRecorder& seen = *recorder;
+  controller.add_observer(std::move(recorder));
+
+  for (auto* client : {&client_a, &client_b}) {
+    client->add_user("u", "users");
+    const int pid = client->launch("u", "/bin/x");
+    for (int i = 0; i < kFlows / 2; ++i) {
+      (void)net.start_flow(*client, pid, "10.0.0.2", 80);
+    }
+  }
+  net.run();
+  ASSERT_TRUE(seen.last.has_value());
+  ASSERT_EQ(seen.responses, 2u * static_cast<std::size_t>(kFlows));
+  ASSERT_GT(seen.responses, kCap);
+  ASSERT_LT(seen.last_at - seen.first_at, kWindow / 2);
+  EXPECT_EQ(controller.stats().flows_allowed, static_cast<std::uint64_t>(kFlows));
+  EXPECT_EQ(controller.recent_response_count(), kCap);
+  EXPECT_EQ(controller.stats().dedupe_memo_evictions, seen.responses - kCap);
+
+  const auto duplicates = controller.stats().duplicate_responses;
+  const auto transits = controller.stats().ident_transit_forwarded;
+  net.simulator().schedule_at(seen.last_at + kWindow / 2, [&] {
+    controller.on_packet_in(*seen.last);
+  });
+  net.run();
+  EXPECT_EQ(controller.stats().duplicate_responses, duplicates + 1);
+  EXPECT_EQ(controller.stats().ident_transit_forwarded, transits);
+
+  net.simulator().schedule_at(seen.last_at + kWindow / 2, [&] {
+    controller.on_packet_in(*seen.first);
+  });
+  net.run();
+  EXPECT_EQ(controller.stats().duplicate_responses, duplicates + 1);
+  EXPECT_EQ(controller.stats().ident_transit_forwarded, transits + 1);
+  EXPECT_LE(controller.recent_response_count(), kCap);
+}
+
 // ---------------------------------------------------------------- misc
 
 TEST(NetworkFacade, HostLookupAndValidation) {

@@ -4,16 +4,21 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <functional>
+#include <list>
+#include <map>
 #include <thread>
+#include <unordered_map>
 
 #include "openflow/flow_table.hpp"
 #include "openflow/match.hpp"
 #include "openflow/switch.hpp"
 #include "openflow/topology.hpp"
 #include "sim/worker_pool.hpp"
+#include "util/rng.hpp"
 
 namespace identxx::openflow {
 namespace {
@@ -474,6 +479,404 @@ TEST(FlowTable, ClearEmptiesEverything) {
   table.clear();
   EXPECT_EQ(table.size(), 0u);
   EXPECT_TRUE(table.entries().empty());
+}
+
+// ------------------------------------------------- differential reference
+
+/// The flow table's semantics (DESIGN.md §8.1) on plain node-based
+/// containers — std::list recency, std::unordered_map indices, std::map
+/// priority buckets — as the oracle for FlowTable's observable behaviour:
+/// lookup results, the order of removal notifications, stats, the cookie
+/// index and entries() order.
+class ReferenceFlowTable {
+ public:
+  explicit ReferenceFlowTable(std::size_t capacity)
+      : capacity_(capacity == 0 ? 1 : capacity) {}
+
+  std::vector<std::pair<std::uint64_t, RemovalReason>> removals;
+  TableStats stats;
+
+  void insert(FlowEntry entry, sim::SimTime now) {
+    entry.created_at = now;
+    entry.last_used_at = now;
+    ++stats.inserts;
+    const net::TenTuple key = entry.match.key();
+    if (entry.match.is_exact()) {
+      if (const auto it = exact_.find(key); it != exact_.end()) {
+        if (expired(*it->second, now)) {
+          erase(it->second, reason(*it->second, now));
+        } else {
+          overwrite(it->second, std::move(entry));
+          return;
+        }
+      }
+      if (order_.size() >= capacity_) erase(std::prev(order_.end()), RemovalReason::kEvicted);
+      cookie_added(entry.cookie);
+      order_.push_front(std::move(entry));
+      exact_.emplace(key, order_.begin());
+      return;
+    }
+    if (const auto bit = wild_.find(entry.priority); bit != wild_.end()) {
+      for (Shape& shape : bit->second) {
+        if (!fits(shape, entry.match)) continue;
+        if (const auto it = shape.by_key.find(key); it != shape.by_key.end()) {
+          if (expired(*it->second, now)) {
+            erase(it->second, reason(*it->second, now));
+            break;
+          }
+          overwrite(it->second, std::move(entry));
+          return;
+        }
+        break;
+      }
+    }
+    if (order_.size() >= capacity_) erase(std::prev(order_.end()), RemovalReason::kEvicted);
+    cookie_added(entry.cookie);
+    order_.push_front(std::move(entry));
+    const FlowMatch& match = order_.front().match;
+    std::vector<Shape>& shapes = wild_[order_.front().priority];
+    Shape* shape = nullptr;
+    for (Shape& candidate : shapes) {
+      if (fits(candidate, match)) {
+        shape = &candidate;
+        break;
+      }
+    }
+    if (shape == nullptr) {
+      shapes.push_back(Shape{shape_of(match), {}});
+      shape = &shapes.back();
+    }
+    shape->by_key.emplace(key, order_.begin());
+  }
+
+  const FlowEntry* lookup(const net::TenTuple& tuple, sim::SimTime now,
+                          std::size_t bytes) {
+    ++stats.lookups;
+    Iter exact_hit = order_.end();
+    if (const auto it = exact_.find(tuple); it != exact_.end()) {
+      if (expired(*it->second, now)) {
+        erase(it->second, reason(*it->second, now));
+      } else {
+        exact_hit = it->second;
+      }
+    }
+    const bool have_exact = exact_hit != order_.end();
+    auto bit = wild_.begin();
+    while (bit != wild_.end()) {
+      const std::uint16_t priority = bit->first;
+      if (have_exact && priority <= exact_hit->priority) break;
+      Iter matched = order_.end();
+      std::vector<Iter> dead;
+      for (Shape& shape : bit->second) {
+        const auto& s = shape.shape;
+        const auto kit = shape.by_key.find(project_tuple(
+            tuple, s.wildcards, s.src_ip_prefix, s.dst_ip_prefix,
+            s.src_port_mask, s.dst_port_mask));
+        if (kit == shape.by_key.end()) continue;
+        if (expired(*kit->second, now)) {
+          dead.push_back(kit->second);
+          continue;
+        }
+        matched = kit->second;
+        break;
+      }
+      for (const Iter it : dead) erase(it, reason(*it, now));
+      if (matched != order_.end()) return touch(matched, now, bytes);
+      bit = wild_.upper_bound(priority);
+    }
+    if (have_exact) return touch(exact_hit, now, bytes);
+    ++stats.misses;
+    return nullptr;
+  }
+
+  const FlowEntry* find(const FlowMatch& match, std::uint16_t priority,
+                        sim::SimTime now) const {
+    const net::TenTuple key = match.key();
+    const FlowEntry* entry = nullptr;
+    if (match.is_exact()) {
+      if (const auto it = exact_.find(key);
+          it != exact_.end() && it->second->priority == priority) {
+        entry = &*it->second;
+      }
+    } else if (const auto bit = wild_.find(priority); bit != wild_.end()) {
+      for (const Shape& shape : bit->second) {
+        if (!fits(shape, match)) continue;
+        if (const auto kit = shape.by_key.find(key); kit != shape.by_key.end()) {
+          entry = &*kit->second;
+        }
+        break;
+      }
+    }
+    return entry != nullptr && !expired(*entry, now) ? entry : nullptr;
+  }
+
+  std::size_t remove_if(const std::function<bool(const FlowEntry&)>& pred) {
+    std::size_t removed = 0;
+    for (auto it = order_.begin(); it != order_.end();) {
+      const auto next = std::next(it);
+      if (pred(*it)) {
+        erase(it, RemovalReason::kDeleted);
+        ++removed;
+      }
+      it = next;
+    }
+    return removed;
+  }
+
+  std::size_t expire(sim::SimTime now) {
+    std::size_t removed = 0;
+    for (auto it = order_.begin(); it != order_.end();) {
+      const auto next = std::next(it);
+      if (expired(*it, now)) {
+        erase(it, reason(*it, now));
+        ++removed;
+      }
+      it = next;
+    }
+    return removed;
+  }
+
+  void clear() {
+    for (const FlowEntry& entry : order_) notify(entry, RemovalReason::kDeleted);
+    order_.clear();
+    exact_.clear();
+    wild_.clear();
+    cookies_.clear();
+  }
+
+  [[nodiscard]] std::size_t size() const { return order_.size(); }
+  [[nodiscard]] bool has_cookie(std::uint64_t cookie) const {
+    return cookies_.contains(cookie);
+  }
+  [[nodiscard]] std::vector<FlowEntry> entries() const {
+    return {order_.begin(), order_.end()};
+  }
+
+ private:
+  using Iter = std::list<FlowEntry>::iterator;
+  struct Shape {
+    FlowMatch shape;  ///< only the shape fields are meaningful
+    std::unordered_map<net::TenTuple, Iter> by_key;
+  };
+
+  static FlowMatch shape_of(const FlowMatch& m) {
+    FlowMatch s;
+    s.wildcards = m.wildcards;
+    s.src_ip_prefix = has_wildcard(m.wildcards, Wildcard::kSrcIp)
+                          ? 0
+                          : std::min(m.src_ip_prefix, 32u);
+    s.dst_ip_prefix = has_wildcard(m.wildcards, Wildcard::kDstIp)
+                          ? 0
+                          : std::min(m.dst_ip_prefix, 32u);
+    s.src_port_mask =
+        has_wildcard(m.wildcards, Wildcard::kSrcPort) ? 0xffff : m.src_port_mask;
+    s.dst_port_mask =
+        has_wildcard(m.wildcards, Wildcard::kDstPort) ? 0xffff : m.dst_port_mask;
+    return s;
+  }
+  static bool fits(const Shape& shape, const FlowMatch& match) {
+    return shape.shape == shape_of(match);
+  }
+  static bool expired(const FlowEntry& e, sim::SimTime now) {
+    return (e.hard_timeout > 0 && now >= e.created_at + e.hard_timeout) ||
+           (e.idle_timeout > 0 && now >= e.last_used_at + e.idle_timeout);
+  }
+  static RemovalReason reason(const FlowEntry& e, sim::SimTime now) {
+    return e.hard_timeout > 0 && now >= e.created_at + e.hard_timeout
+               ? RemovalReason::kHardTimeout
+               : RemovalReason::kIdleTimeout;
+  }
+  void notify(const FlowEntry& entry, RemovalReason why) {
+    ++stats.removals;
+    removals.emplace_back(entry.cookie, why);
+  }
+  void cookie_added(std::uint64_t cookie) {
+    if (cookie != 0) ++cookies_[cookie];
+  }
+  void cookie_removed(std::uint64_t cookie) {
+    if (cookie == 0) return;
+    if (const auto it = cookies_.find(cookie); it != cookies_.end() && --it->second == 0) {
+      cookies_.erase(it);
+    }
+  }
+  void overwrite(Iter it, FlowEntry fresh) {
+    if (it->cookie != fresh.cookie) {
+      cookie_removed(it->cookie);
+      cookie_added(fresh.cookie);
+      notify(*it, RemovalReason::kDeleted);
+    }
+    fresh.packet_count = it->packet_count;
+    fresh.byte_count = it->byte_count;
+    fresh.created_at = it->created_at;
+    *it = std::move(fresh);
+    order_.splice(order_.begin(), order_, it);
+  }
+  void erase(Iter it, RemovalReason why) {
+    const FlowEntry entry = *it;
+    cookie_removed(entry.cookie);
+    if (entry.match.is_exact()) {
+      exact_.erase(entry.match.key());
+    } else if (const auto bit = wild_.find(entry.priority); bit != wild_.end()) {
+      std::vector<Shape>& shapes = bit->second;
+      for (std::size_t i = 0; i < shapes.size(); ++i) {
+        if (!fits(shapes[i], entry.match)) continue;
+        shapes[i].by_key.erase(entry.match.key());
+        if (shapes[i].by_key.empty()) {
+          shapes.erase(shapes.begin() + static_cast<std::ptrdiff_t>(i));
+        }
+        break;
+      }
+      if (shapes.empty()) wild_.erase(bit);
+    }
+    order_.erase(it);
+    notify(entry, why);
+  }
+  const FlowEntry* touch(Iter it, sim::SimTime now, std::size_t bytes) {
+    it->last_used_at = now;
+    ++it->packet_count;
+    it->byte_count += bytes;
+    order_.splice(order_.begin(), order_, it);
+    ++stats.hits;
+    return &*it;
+  }
+
+  std::size_t capacity_;
+  std::list<FlowEntry> order_;
+  std::unordered_map<net::TenTuple, Iter> exact_;
+  std::map<std::uint16_t, std::vector<Shape>, std::greater<>> wild_;
+  std::unordered_map<std::uint64_t, std::size_t> cookies_;
+};
+
+void expect_same_entry(const FlowEntry& a, const FlowEntry& b) {
+  EXPECT_EQ(a.match, b.match);
+  EXPECT_EQ(a.priority, b.priority);
+  EXPECT_EQ(a.action, b.action);
+  EXPECT_EQ(a.idle_timeout, b.idle_timeout);
+  EXPECT_EQ(a.hard_timeout, b.hard_timeout);
+  EXPECT_EQ(a.created_at, b.created_at);
+  EXPECT_EQ(a.last_used_at, b.last_used_at);
+  EXPECT_EQ(a.packet_count, b.packet_count);
+  EXPECT_EQ(a.byte_count, b.byte_count);
+  EXPECT_EQ(a.cookie, b.cookie);
+}
+
+TEST(FlowTable, DifferentialAgainstReferenceModel) {
+  // Seeded random operation sequences over a small key space, so
+  // overwrites, cookie changes, shadowing across priorities, lazy expiry
+  // and capacity eviction all happen often.  After every operation the
+  // slab table must agree with the reference on the result, every removal
+  // notification (cookie + reason, in order), stats, the cookie index and
+  // the recency order of entries().
+  constexpr std::uint64_t kCookies = 6;
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    util::SplitMix64 rng(seed);
+    const std::size_t capacity = 1 + rng.next_below(12);
+    FlowTable table(capacity);
+    ReferenceFlowTable reference(capacity);
+    std::vector<std::pair<std::uint64_t, RemovalReason>> removals;
+    table.set_removal_listener([&removals](const FlowEntry& e, RemovalReason why) {
+      removals.emplace_back(e.cookie, why);
+    });
+
+    const auto random_tuple = [&] {
+      static constexpr const char* kSrc[] = {"10.0.0.1", "10.0.0.2", "10.0.1.9"};
+      static constexpr const char* kDst[] = {"10.0.0.2", "192.168.1.1"};
+      static constexpr std::uint16_t kPorts[] = {80, 81, 443, 8000, 8003};
+      return tuple(kSrc[rng.next_below(3)], kDst[rng.next_below(2)],
+                   static_cast<std::uint16_t>(1000 + rng.next_below(2)),
+                   kPorts[rng.next_below(5)],
+                   static_cast<std::uint16_t>(1 + rng.next_below(2)));
+    };
+    const auto random_match = [&] {
+      FlowMatch match = FlowMatch::exact(random_tuple());
+      switch (rng.next_below(6)) {
+        case 0:
+        case 1:
+          break;  // exact
+        case 2:
+          match.wildcards = without(Wildcard::kAll, Wildcard::kDstPort);
+          break;
+        case 3:
+          match.wildcards = without(Wildcard::kAll,
+                                    Wildcard::kSrcIp | Wildcard::kDstPort);
+          match.src_ip_prefix = 24;
+          break;
+        case 4:
+          match.wildcards = without(Wildcard::kAll, Wildcard::kDstPort);
+          match.dst_port_mask = 0xfffc;
+          break;
+        default:
+          match.wildcards = Wildcard::kAll;
+          break;
+      }
+      return match;
+    };
+    const auto random_entry = [&] {
+      FlowEntry entry;
+      entry.match = random_match();
+      entry.priority = static_cast<std::uint16_t>(10 * (1 + rng.next_below(3)));
+      entry.cookie = rng.next_below(kCookies);
+      if (rng.next_bool(0.5)) {
+        entry.action = DropAction{};
+      } else {
+        entry.action = OutputAction{{static_cast<sim::PortId>(1 + rng.next_below(3))}};
+      }
+      entry.idle_timeout = static_cast<sim::SimTime>(rng.next_below(3) * 10);
+      entry.hard_timeout = rng.next_bool(0.3) ? 25 : 0;
+      return entry;
+    };
+
+    sim::SimTime now = 0;
+    for (int op = 0; op < 1500; ++op) {
+      now += static_cast<sim::SimTime>(rng.next_below(4));
+      const std::uint64_t kind = rng.next_below(100);
+      if (kind < 40) {
+        const FlowEntry entry = random_entry();
+        table.insert(entry, now);
+        reference.insert(entry, now);
+      } else if (kind < 80) {
+        const net::TenTuple t = random_tuple();
+        const std::size_t bytes = 1 + rng.next_below(1500);
+        const FlowEntry* got = table.lookup(t, now, bytes);
+        const FlowEntry* want = reference.lookup(t, now, bytes);
+        ASSERT_EQ(got == nullptr, want == nullptr) << "op " << op;
+        if (got != nullptr) expect_same_entry(*got, *want);
+      } else if (kind < 88) {
+        const FlowMatch match = random_match();
+        const auto priority = static_cast<std::uint16_t>(10 * (1 + rng.next_below(3)));
+        const FlowEntry* got = table.find(match, priority, now);
+        const FlowEntry* want = reference.find(match, priority, now);
+        ASSERT_EQ(got == nullptr, want == nullptr) << "op " << op;
+        if (got != nullptr) expect_same_entry(*got, *want);
+      } else if (kind < 93) {
+        EXPECT_EQ(table.expire(now), reference.expire(now));
+      } else if (kind < 99) {
+        const std::uint64_t cookie = rng.next_below(kCookies);
+        const auto pred = [cookie](const FlowEntry& e) { return e.cookie == cookie; };
+        EXPECT_EQ(table.remove_if(pred), reference.remove_if(pred));
+      } else {
+        table.clear();
+        reference.clear();
+      }
+
+      ASSERT_EQ(removals, reference.removals) << "op " << op;
+      EXPECT_EQ(table.stats().lookups, reference.stats.lookups);
+      EXPECT_EQ(table.stats().hits, reference.stats.hits);
+      EXPECT_EQ(table.stats().misses, reference.stats.misses);
+      EXPECT_EQ(table.stats().inserts, reference.stats.inserts);
+      EXPECT_EQ(table.stats().removals, reference.stats.removals);
+      for (std::uint64_t cookie = 0; cookie < kCookies; ++cookie) {
+        EXPECT_EQ(table.has_cookie(cookie), reference.has_cookie(cookie));
+      }
+      ASSERT_EQ(table.size(), reference.size()) << "op " << op;
+      const std::vector<FlowEntry> got = table.entries();
+      const std::vector<FlowEntry> want = reference.entries();
+      ASSERT_EQ(got.size(), want.size());
+      for (std::size_t i = 0; i < got.size(); ++i) expect_same_entry(got[i], want[i]);
+      if (::testing::Test::HasFailure()) FAIL() << "diverged at op " << op;
+    }
+  }
 }
 
 // ---------------------------------------------------------------- switch

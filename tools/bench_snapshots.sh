@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# bench_snapshots — build the five google-benchmark suites in Release, run
+# bench_snapshots — build the six google-benchmark suites in Release, run
 # them, and write BENCH_crypto.json, BENCH_flow_setup.json,
-# BENCH_policy_eval.json, BENCH_traffic.json and BENCH_faults.json.
+# BENCH_policy_eval.json, BENCH_traffic.json, BENCH_faults.json and
+# BENCH_flow_table.json.
 #
 # Usage (from anywhere in the checkout):
 #   tools/bench_snapshots.sh [--repetitions N] [--min-time SECONDS]
@@ -25,7 +26,7 @@
 
 set -euo pipefail
 
-suites=(crypto flow_setup policy_eval traffic faults)
+suites=(crypto flow_setup policy_eval traffic faults flow_table)
 
 root=$(git -C "$(dirname "$0")" rev-parse --show-toplevel)
 repetitions=5
