@@ -68,7 +68,7 @@ struct ControllerConfig {
   std::uint32_t max_query_retries = 0;
   /// Upper bound on the seeded jitter added to each retry deadline.  The
   /// jitter is a pure hash of (flow, attempt, retry_jitter_seed), so it is
-  /// identical at any shard/worker count.  0 = no jitter.
+  /// identical at any shard count.  0 = no jitter.
   sim::SimTime retry_jitter = 0;
   std::uint64_t retry_jitter_seed = 0;
   /// Graceful degradation: when > 0 and retries exhaust with a queried
@@ -126,9 +126,9 @@ struct ControllerConfig {
   std::size_t audit_log_capacity = kDefaultAuditLogCapacity;
   /// Sharded-domain wiring (sharded_controller.hpp, DESIGN.md §10).  When
   /// decision_lane is a shard lane (nonzero), the DecisionEngine runs on
-  /// that lane — potentially in parallel with sibling domains — and the
-  /// resulting verdict commits back on the global lane at the same virtual
-  /// instant, so sharding never changes simulated timings.
+  /// that lane and the resulting verdict commits back on the global lane
+  /// at the same virtual instant, so sharding never changes simulated
+  /// timings.
   sim::LaneId decision_lane = sim::kGlobalLane;
   /// Cookie namespace tag (top 16 bits of every allocated cookie).  Zero
   /// for classic standalone controllers; domain i of a sharded controller

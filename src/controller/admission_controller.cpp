@@ -379,7 +379,7 @@ bool AdmissionController::retry_queries(AdmissionContext& ctx) {
   ++ctx.retries_used;
   // Exponential backoff (query_timeout << attempt, shift capped) plus the
   // order-independent jitter; absolute arithmetic only, so the deadline is
-  // identical at any shard/worker count.
+  // identical at any shard count.
   const std::uint32_t shift = std::min<std::uint32_t>(ctx.retries_used, 10);
   const sim::SimTime deadline = simulator().now() +
                                 (config_.query_timeout << shift) +
@@ -480,9 +480,9 @@ void AdmissionController::dispatch_decisions(
     return;
   }
   // Sharded domain: the engine (shard-local policy engine, verifier and
-  // caches) evaluates the whole batch on this domain's lane, in parallel
-  // with sibling domains; the commit runs back on the global lane at the
-  // same virtual instant, so sharding never changes simulated timings.
+  // caches) evaluates the whole batch on this domain's lane; the commit
+  // runs back on the global lane at the same virtual instant, so sharding
+  // never changes simulated timings.
   for (AdmissionContext* ctx : batch) ctx->decision_in_flight = true;
   const std::uint64_t epoch = control_epoch_;
   simulator().schedule_on(

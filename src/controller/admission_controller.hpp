@@ -229,8 +229,8 @@ class AdmissionController : public openflow::ControlPlane, public AdmissionEnv {
   /// remains (the caller proceeds to the timeout decision).
   bool retry_queries(AdmissionContext& ctx);
   /// Order-independent jitter for `ctx`'s current retry: a pure hash of
-  /// (flow, attempt, config.retry_jitter_seed), so sharding and worker
-  /// count never change the draw.
+  /// (flow, attempt, config.retry_jitter_seed), so the shard count never
+  /// changes the draw.
   [[nodiscard]] sim::SimTime retry_jitter_for(
       const AdmissionContext& ctx) const;
   /// Remember `ctx`'s first packet-in and schedule a re-admission probe

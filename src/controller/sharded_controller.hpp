@@ -1,7 +1,7 @@
 #pragma once
 
-// ShardedAdmissionController: N parallel admission domains behind one
-// OpenFlow control plane (DESIGN.md §10).
+// ShardedAdmissionController: N admission domains behind one OpenFlow
+// control plane (DESIGN.md §10).
 //
 // The paper assumes the controller is the scaling bottleneck of flow-based
 // admission; this front-end removes the single-controller assumption by
@@ -21,10 +21,9 @@
 //   * flow-removed notifications by the cookie's shard namespace.
 //
 // Domains evaluate decisions on their own simulator shard lane
-// (ControllerConfig::decision_lane), so verification and policy evaluation
-// for different shards run on parallel workers while every install /
-// packet release commits on the global lane — results stay bit-identical
-// across shard and worker counts.
+// (ControllerConfig::decision_lane); the lanes of one wave run one after
+// another in lane order, and every install / packet release commits on the
+// global lane — results stay bit-identical across shard counts.
 //
 // Cross-shard control operations (revoke_all / revoke_if / set_policy)
 // fan out to every domain in shard order on the global lane ("epoch-

@@ -103,10 +103,9 @@ ctrl::IdentxxController& Network::install_domain_controller(
 }
 
 ctrl::ShardedAdmissionController& Network::install_sharded_controller(
-    std::string_view policy, std::uint32_t shards, std::uint32_t workers,
+    std::string_view policy, std::uint32_t shards,
     ctrl::ControllerConfig config) {
   simulator().configure_shard_lanes(shards == 0 ? 1 : shards);
-  simulator().set_workers(workers == 0 ? 1 : workers);
   pf::Ruleset ruleset = pf::parse(policy, config.name);
   auto controller = std::make_unique<ctrl::ShardedAdmissionController>(
       &topology_, std::move(ruleset), shards, std::move(config));

@@ -86,12 +86,11 @@ class Network {
       std::vector<pf::ControlFile> files, ctrl::ControllerConfig config = {});
 
   /// Sharded admission domains (DESIGN.md §10): partition flows across
-  /// `shards` parallel AdmissionControllers with shard-local caches and
-  /// verifiers, evaluated on `workers` real threads (1 = serial; results
-  /// are identical either way).  Adopts every so-far-unadopted switch and
-  /// configures the simulator's shard lanes and worker pool.
+  /// `shards` AdmissionControllers with shard-local caches and verifiers,
+  /// each deciding on its own simulator lane.  Adopts every
+  /// so-far-unadopted switch and configures the simulator's shard lanes.
   ctrl::ShardedAdmissionController& install_sharded_controller(
-      std::string_view policy, std::uint32_t shards, std::uint32_t workers = 1,
+      std::string_view policy, std::uint32_t shards,
       ctrl::ControllerConfig config = {});
 
   /// Baselines (each adopts every unadopted switch).

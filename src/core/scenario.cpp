@@ -479,7 +479,7 @@ ScenarioResult Scenario::run(const ScenarioOptions& options) const {
   // applies one spec to every switch, replacing `fault chan` directives;
   // otherwise each declaration applies to its named switch (or "all").
   // Either way a switch draws from its own (seed, name)-derived stream,
-  // so injection is bit-identical at any shard/worker count.
+  // so injection is bit-identical at any shard count.
   const bool chan_override =
       options.chan_loss > 0.0 || options.chan_dup > 0.0 ||
       options.chan_delay > 0;
@@ -558,8 +558,7 @@ ScenarioResult Scenario::run(const ScenarioOptions& options) const {
       classic->seed_query_ports(derive.next());
     }
   } else {
-    sharded = &net.install_sharded_controller(policy, options.shards,
-                                              options.workers, config);
+    sharded = &net.install_sharded_controller(policy, options.shards, config);
     if (seed != 0) sharded->seed_query_ports(seed);
   }
 
@@ -718,7 +717,7 @@ ScenarioResult Scenario::run(const ScenarioOptions& options) const {
   std::vector<std::pair<std::string, FlowHandle>> handles;
   // Traffic generators (src/net/traffic): per-flow seeds come from one
   // SplitMix64 stream over the scenario seed in flow file order, so a given
-  // scenario+seed drives identical traffic at any shard/worker count.
+  // scenario+seed drives identical traffic at any shard count.
   std::vector<std::unique_ptr<net::traffic::FlowDriver>> drivers;
   std::unordered_map<std::string, const net::traffic::FlowDriver*> by_flow_id;
   util::SplitMix64 traffic_seeds(seed ^ 0xc2b2ae3d27d4eb4fULL);

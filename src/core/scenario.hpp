@@ -81,8 +81,8 @@ struct ScenarioFlowResult {
   /// Traffic accounting: packets the flow's generator emitted (1 for the
   /// default single-SYN flows) and payload packets the destination
   /// application received.  Compared by equivalent_to, so per-flow
-  /// delivery under congestion must be bit-identical across shard and
-  /// worker counts.
+  /// delivery under congestion must be bit-identical across shard
+  /// counts.
   std::uint64_t packets_sent = 1;
   std::uint64_t packets_delivered = 0;
   /// Deliveries that arrived behind a later-sent packet of this flow
@@ -103,8 +103,7 @@ struct ScenarioFlowResult {
 
 /// What the seeded fault model actually did during a run (DESIGN.md §14).
 /// Part of equivalent_to: fault injection draws on the global lane, so a
-/// faulted run's injections must be bit-identical at any shard/worker
-/// count.
+/// faulted run's injections must be bit-identical at any shard count.
 struct ScenarioFaultStats {
   std::uint64_t chan_dropped = 0;
   std::uint64_t chan_duplicated = 0;
@@ -130,10 +129,9 @@ struct ScenarioResult {
   std::uint64_t queue_tail_drops = 0;
   std::vector<std::uint64_t> switch_queue_drops;
   /// Path-set cache counters and the ECMP selection histogram, surfaced
-  /// by identxx_sim.  NOT part of equivalent_to: worker threads use
-  /// private path memos, so hit/miss counts legitimately vary with the
-  /// worker count even though the selected paths (and therefore
-  /// everything above) do not.
+  /// by identxx_sim.  Part of equivalent_to: every path query goes through
+  /// the topology's one memo, so the counts cannot depend on the shard
+  /// count.
   openflow::PathCacheStats path_cache_stats;
   /// Injected control-plane faults (DESIGN.md §14); all-zero in unfaulted
   /// runs.
@@ -147,15 +145,16 @@ struct ScenarioResult {
     return true;
   }
 
-  /// The shard-count/worker-count invariant (DESIGN.md §10): everything
-  /// observable — flow verdicts, aggregate stats, the canonical audit
-  /// log — must be identical however the run was partitioned.  The
+  /// The shard-count invariant (DESIGN.md §10): everything observable —
+  /// flow verdicts, aggregate stats, the canonical audit log, the path
+  /// cache — must be identical however the run was partitioned.  The
   /// per-domain breakdown is intentionally not compared.
   [[nodiscard]] bool equivalent_to(const ScenarioResult& other) const {
     return flows == other.flows && controller_stats == other.controller_stats &&
            audit_log == other.audit_log &&
            queue_tail_drops == other.queue_tail_drops &&
            switch_queue_drops == other.switch_queue_drops &&
+           path_cache_stats == other.path_cache_stats &&
            fault_stats == other.fault_stats;
   }
 };
@@ -165,8 +164,6 @@ struct ScenarioOptions {
   ctrl::ControllerConfig config;
   /// 0 = classic single controller; >= 1 = sharded admission domains.
   std::uint32_t shards = 0;
-  /// Real parallelism for sharded runs (1 = serial; results identical).
-  std::uint32_t workers = 1;
   /// Seed for the deterministic per-domain RNG streams (query ephemeral
   /// ports).  0 falls back to the scenario file's `seed` directive (or 0).
   std::uint64_t seed = 0;
@@ -208,9 +205,8 @@ class Scenario {
   /// expectations.  Throws Error for semantic problems (unknown names).
   [[nodiscard]] ScenarioResult run(ctrl::ControllerConfig config = {}) const;
 
-  /// As above, with sharding/worker/seed control.  A given scenario and
-  /// seed produce an equivalent_to-identical result at any shard count
-  /// and any worker count.
+  /// As above, with sharding/seed control.  A given scenario and seed
+  /// produce an equivalent_to-identical result at any shard count.
   [[nodiscard]] ScenarioResult run(const ScenarioOptions& options) const;
 
   [[nodiscard]] const std::string& policy() const noexcept { return policy_; }

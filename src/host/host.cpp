@@ -11,6 +11,12 @@ namespace {
 /// Hosts have a single NIC wired as port 1.
 constexpr sim::PortId kNic = 1;
 
+/// The ephemeral source-port range connect_flow hands out, in order.
+constexpr std::uint16_t kFirstEphemeralPort = 40000;
+constexpr std::uint16_t kLastEphemeralPort = 65535;
+constexpr std::size_t kEphemeralPorts =
+    kLastEphemeralPort - kFirstEphemeralPort + 1;
+
 /// Destination MAC used when the sender has not resolved the peer (the
 /// controller installs flow entries keyed on whatever MACs the flow's
 /// packets carry, so forwarding does not depend on MAC correctness).
@@ -39,7 +45,11 @@ int Host::launch(const std::string& user, const std::string& exe_path,
 
 void Host::kill(int pid) {
   processes_.erase(pid);
-  std::erase_if(sockets_, [pid](const Socket& s) { return s.pid == pid; });
+  std::erase_if(connected_, [pid](const auto& entry) {
+    return entry.second == pid;
+  });
+  std::erase_if(listening_,
+                [pid](const ListeningSocket& s) { return s.pid == pid; });
 }
 
 const Process* Host::process(int pid) const noexcept {
@@ -52,9 +62,22 @@ net::FiveTuple Host::connect_flow(int pid, net::Ipv4Address dst_ip,
   if (!processes_.contains(pid)) {
     throw Error("connect_flow: unknown pid on " + name_);
   }
-  const net::FiveTuple flow{ip_, dst_ip, proto, next_ephemeral_port_++, dst_port};
-  if (next_ephemeral_port_ < 40000) next_ephemeral_port_ = 40000;  // wrap
-  sockets_.push_back(Socket{pid, flow, false});
+  // Once the port counter has wrapped, a port may still be open to this
+  // destination: take the next one whose 5-tuple is free.
+  net::FiveTuple flow{ip_, dst_ip, proto, next_ephemeral_port_, dst_port};
+  for (std::size_t tries = 1; connected_.contains(flow); ++tries) {
+    if (tries == kEphemeralPorts) {
+      throw Error("connect_flow: every ephemeral port to " +
+                  dst_ip.to_string() + ":" + std::to_string(dst_port) +
+                  " is in use on " + name_);
+    }
+    flow.src_port = flow.src_port == kLastEphemeralPort ? kFirstEphemeralPort
+                                                        : flow.src_port + 1;
+  }
+  next_ephemeral_port_ = flow.src_port == kLastEphemeralPort
+                             ? kFirstEphemeralPort
+                             : flow.src_port + 1;
+  connected_.emplace(flow, pid);
   return flow;
 }
 
@@ -62,17 +85,11 @@ void Host::listen(int pid, std::uint16_t port, net::IpProto proto) {
   if (!processes_.contains(pid)) {
     throw Error("listen: unknown pid on " + name_);
   }
-  net::FiveTuple flow;
-  flow.dst_ip = ip_;
-  flow.dst_port = port;
-  flow.proto = proto;
-  sockets_.push_back(Socket{pid, flow, true});
+  listening_.push_back(ListeningSocket{pid, port, proto});
 }
 
 void Host::close_flow(const net::FiveTuple& flow) {
-  std::erase_if(sockets_, [&flow](const Socket& s) {
-    return !s.listening && s.flow == flow;
-  });
+  connected_.erase(flow);
   flow_pairs_.erase(flow);
 }
 
@@ -84,29 +101,21 @@ void Host::register_flow_pairs(const net::FiveTuple& flow,
 
 std::optional<proto::FlowOwner> Host::resolve(const net::FiveTuple& flow,
                                               bool as_destination) const {
-  const Socket* match = nullptr;
-  for (const Socket& socket : sockets_) {
-    if (!as_destination) {
-      if (!socket.listening && socket.flow == flow) {
-        match = &socket;
-        break;
-      }
-    } else {
-      // Connected socket for the reversed flow (already accepted)?
-      if (!socket.listening && socket.flow == flow.reversed()) {
-        match = &socket;
-        break;
-      }
-      // Listening socket on the destination port.
-      if (socket.listening && socket.flow.dst_port == flow.dst_port &&
-          socket.flow.proto == flow.proto) {
-        match = &socket;
-        // Keep scanning: a connected socket is more specific.
+  // A connected socket (for a destination: the accepted reverse flow);
+  // failing that, a destination's last listening socket on the port.
+  std::optional<int> pid;
+  if (const auto it = connected_.find(as_destination ? flow.reversed() : flow);
+      it != connected_.end()) {
+    pid = it->second;
+  } else if (as_destination) {
+    for (const ListeningSocket& socket : listening_) {
+      if (socket.port == flow.dst_port && socket.proto == flow.proto) {
+        pid = socket.pid;
       }
     }
   }
-  if (match == nullptr) return std::nullopt;
-  const auto proc_it = processes_.find(match->pid);
+  if (!pid) return std::nullopt;
+  const auto proc_it = processes_.find(*pid);
   if (proc_it == processes_.end()) return std::nullopt;
   const Process& proc = proc_it->second;
 
@@ -166,10 +175,9 @@ void Host::on_packet(const net::Packet& packet, sim::PortId in_port) {
   if (auto_accept_ && packet.tcp && (packet.tcp->flags & net::TcpFlags::kSyn) &&
       !(packet.tcp->flags & net::TcpFlags::kAck)) {
     const net::FiveTuple flow = packet.five_tuple();
-    for (const Socket& socket : sockets_) {
-      if (socket.listening && socket.flow.proto == flow.proto &&
-          socket.flow.dst_port == flow.dst_port) {
-        sockets_.push_back(Socket{socket.pid, flow.reversed(), false});
+    for (const ListeningSocket& socket : listening_) {
+      if (socket.proto == flow.proto && socket.port == flow.dst_port) {
+        connected_.emplace(flow.reversed(), socket.pid);
         send_flow_packet(flow.reversed(), "",
                          net::TcpFlags::kSyn | net::TcpFlags::kAck);
         break;

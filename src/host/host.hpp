@@ -46,11 +46,11 @@ struct Process {
   std::string exe_hash;  ///< SHA-256 of the (simulated) executable image
 };
 
-/// One socket table entry.
-struct Socket {
+/// A listening socket: `pid` accepts `proto` connections on `port`.
+struct ListeningSocket {
   int pid = 0;
-  net::FiveTuple flow;   ///< fully specified for connected, dst zero for listening
-  bool listening = false;
+  std::uint16_t port = 0;
+  net::IpProto proto = net::IpProto::kTcp;
 };
 
 struct HostStats {
@@ -92,7 +92,9 @@ class Host : public sim::Node, public proto::FlowResolver {
   // ---- sockets (the lsof substitute) --------------------------------------
 
   /// Open an outbound flow from `pid`: allocates an ephemeral source port
-  /// and records the socket.  Returns the flow 5-tuple.
+  /// (40000..65535, in order, wrapping, skipping any whose 5-tuple is
+  /// still open) and records the socket.  Throws Error when every port to
+  /// the destination is in use.  Returns the flow 5-tuple.
   net::FiveTuple connect_flow(int pid, net::Ipv4Address dst_ip,
                               std::uint16_t dst_port,
                               net::IpProto proto = net::IpProto::kTcp);
@@ -211,7 +213,9 @@ class Host : public sim::Node, public proto::FlowResolver {
   net::MacAddress mac_;
   std::unordered_map<std::string, User> users_;
   std::unordered_map<int, Process> processes_;
-  std::vector<Socket> sockets_;
+  /// Connected sockets: flow (this host as source) -> owning pid.
+  std::unordered_map<net::FiveTuple, int> connected_;
+  std::vector<ListeningSocket> listening_;
   std::unordered_map<net::FiveTuple, proto::KeyValueList> flow_pairs_;
   proto::Daemon daemon_;
   bool daemon_enabled_ = true;

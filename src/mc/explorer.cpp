@@ -202,9 +202,6 @@ Explorer::Explorer(const core::Scenario& scenario, ExplorerOptions options)
   if (options_.scenario.shards == 0) {
     throw Error("mc::Explorer: scenario.shards must be >= 1");
   }
-  // Exploration is serial by construction: the dictated order IS the
-  // execution order, no worker pool involved.
-  options_.scenario.workers = 1;
 }
 
 Report Explorer::run() {

@@ -57,8 +57,7 @@ enum class Mode { kExhaustive, kDpor, kRandom };
 
 struct ExplorerOptions {
   /// Base scenario options.  `shards` must be >= 1 (the classic inline
-  /// controller has no shard lanes to reorder); `workers` is forced to 1 —
-  /// exploration runs serially so the dictated order is exact.
+  /// controller has no shard lanes to reorder).
   core::ScenarioOptions scenario;
   Mode mode = Mode::kDpor;
   /// Branch only at the first `max_depth` waves of each schedule; later

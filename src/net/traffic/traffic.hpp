@@ -16,7 +16,7 @@
 //              increasing additively otherwise (TCP-flavoured backoff)
 //
 // Every generator is a chain of simulator events on the global lane, so
-// emissions are bit-identical at any shard/worker count.  All randomness
+// emissions are bit-identical at any shard count.  All randomness
 // (the Pareto size draw) comes from a caller-provided SplitMix64 seed.
 //
 // Specs parse from compact text — "cbr,packets=64,rate=20000" — used

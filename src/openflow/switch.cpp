@@ -172,7 +172,7 @@ void Switch::deliver_control(std::function<void()> deliver) {
   sim::SimTime latency = control_latency_;
   if (fault_.has_value()) {
     // Both Bernoullis are always drawn so the stream position depends only
-    // on the message count, keeping faulted runs shard/worker invariant.
+    // on the message count, keeping faulted runs shard-count invariant.
     const sim::FaultChannel::Draw draw = fault_->draw();
     if (draw.dropped) {
       ++fault_->stats().dropped;

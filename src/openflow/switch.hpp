@@ -142,7 +142,7 @@ class Switch : public sim::Node {
  private:
   /// One output port's transmission state.  All mutation happens on the
   /// simulator's global lane (packet events are never sharded), so the
-  /// bounded-queue model is deterministic at any worker count for free.
+  /// bounded-queue model is deterministic at any shard count for free.
   struct PortQueue {
     sim::SimTime next_free = 0;  ///< when the wire finishes its last packet
     PortQueueStats stats;

@@ -5,7 +5,6 @@
 #include <deque>
 
 #include "sim/schedule.hpp"
-#include "sim/worker_pool.hpp"
 #include "util/rng.hpp"
 
 namespace identxx::openflow {
@@ -13,16 +12,6 @@ namespace identxx::openflow {
 namespace {
 
 std::atomic<std::uint64_t> g_next_topology_id{1};
-
-/// One worker thread's private path memo for one topology instance.
-/// Keyed by the topology's process-unique id (never a raw pointer — ids
-/// are not reused); stale topologies' entries die with the worker thread,
-/// whose pool is owned by the topology's simulator.
-struct WorkerPathCache {
-  std::uint64_t epoch = 0;
-  std::unordered_map<std::uint64_t, PathSet> paths;
-};
-thread_local std::unordered_map<std::uint64_t, WorkerPathCache> t_worker_paths;
 
 }  // namespace
 
@@ -91,7 +80,6 @@ void Topology::set_multipath(std::uint32_t k_paths, std::uint64_t seed) {
 void Topology::invalidate_paths() noexcept {
   sim::note_access(
       {sim::LaneAccess::Kind::kPathEpoch, topology_id_, /*write=*/true});
-  ++path_epoch_;  // per-worker caches check the epoch on their next query
   if (path_cache_.empty()) return;
   path_cache_.clear();
   ++path_cache_stats_.invalidations;
@@ -112,31 +100,12 @@ const PathSet& Topology::cached_path_set(sim::NodeId src_host,
   }
   const std::uint64_t key =
       (static_cast<std::uint64_t>(src_host) << 32) | dst_host;
-  if (sim::WorkerPool::current_worker_slot() != 0) {
-    // Simulator worker thread (parallel shard lane): private cache, no
-    // locks and no contention on the shared memo or its stats.
-    return path_set_via_worker_cache(key, src_host, dst_host);
-  }
   if (const auto it = path_cache_.find(key); it != path_cache_.end()) {
     ++path_cache_stats_.hits;
     return it->second;
   }
   ++path_cache_stats_.misses;
   return path_cache_.emplace(key, compute_path_set(src_host, dst_host))
-      .first->second;
-}
-
-const PathSet& Topology::path_set_via_worker_cache(
-    std::uint64_t key, sim::NodeId src_host, sim::NodeId dst_host) const {
-  WorkerPathCache& cache = t_worker_paths[topology_id_];
-  if (cache.epoch != path_epoch_) {
-    cache.paths.clear();
-    cache.epoch = path_epoch_;
-  }
-  if (const auto it = cache.paths.find(key); it != cache.paths.end()) {
-    return it->second;
-  }
-  return cache.paths.emplace(key, compute_path_set(src_host, dst_host))
       .first->second;
 }
 
@@ -173,11 +142,9 @@ std::optional<std::vector<Hop>> Topology::path_for_flow(
   const PathSet& set = cached_path_set(src_host, dst_host);
   if (set.empty()) return std::nullopt;
   const std::size_t index = select_path_index(flow, set.size());
-  if (sim::WorkerPool::current_worker_slot() == 0) {
-    auto& histogram = path_cache_stats_.ecmp_selections;
-    if (histogram.size() <= index) histogram.resize(index + 1, 0);
-    ++histogram[index];
-  }
+  auto& histogram = path_cache_stats_.ecmp_selections;
+  if (histogram.size() <= index) histogram.resize(index + 1, 0);
+  ++histogram[index];
   return set.paths[index];
 }
 
@@ -220,7 +187,7 @@ PathSet Topology::compute_path_set(sim::NodeId src_host,
   // Pass 2: enumerate up to k_paths_ shortest paths by DFS over the
   // equal-cost DAG (edges u->v with dist[v] == dist[u]+1), expanding
   // neighbours in adjacency insertion order — a deterministic function of
-  // link() call order, identical on every worker and every run.
+  // link() call order, identical on every run.
   std::vector<sim::NodeId> node_path{src_host};
   const auto emit = [&]() {
     std::vector<Hop> hops;

@@ -47,13 +47,13 @@ struct PathSet {
 /// controller should not recompute the fabric walk per flow.  One cache
 /// entry now holds the whole equal-cost path set; hits/misses/invalidations
 /// count per path-set lookup.  ecmp_selections[i] counts how many
-/// path_for_flow() queries selected path index i (main-thread queries
-/// only, like the other counters).
+/// path_for_flow() queries selected path index i.
 struct PathCacheStats {
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;     ///< BFS runs stored into the cache
   std::uint64_t invalidations = 0;  ///< cache flushes (topology changed)
   std::vector<std::uint64_t> ecmp_selections;
+  [[nodiscard]] bool operator==(const PathCacheStats&) const = default;
 };
 
 class Topology {
@@ -110,12 +110,6 @@ class Topology {
   /// first path — the stable choice for flow-agnostic traffic (control
   /// messages, diagnostics).  Results are memoized per (src,dst) pair;
   /// `link()` (the only topology mutation) flushes the memo.
-  ///
-  /// The memo is per-worker: the simulation main thread uses the shared
-  /// cache below (and the stats), while simulator worker threads (parallel
-  /// shard lanes) each keep a private thread-local cache keyed by this
-  /// topology's id and invalidated by the same epoch bump — no locks on
-  /// any path query.
   [[nodiscard]] std::optional<std::vector<Hop>> path(sim::NodeId src_host,
                                                      sim::NodeId dst_host) const;
 
@@ -154,12 +148,10 @@ class Topology {
       sim::NodeId src_host, sim::NodeId dst_host) const;
   [[nodiscard]] PathSet compute_path_set(sim::NodeId src_host,
                                          sim::NodeId dst_host) const;
-  /// The memoized set for (src,dst), routed through the shared cache on
-  /// the main thread or the calling worker's private cache otherwise.
+  /// The memoized set for (src,dst) (computed into scratch_set_ when the
+  /// cache is disabled).
   [[nodiscard]] const PathSet& cached_path_set(sim::NodeId src_host,
                                                sim::NodeId dst_host) const;
-  [[nodiscard]] const PathSet& path_set_via_worker_cache(
-      std::uint64_t key, sim::NodeId src_host, sim::NodeId dst_host) const;
   /// ECMP selection index for `flow` within a set of `set_size` paths.
   [[nodiscard]] std::size_t select_path_index(const net::FiveTuple& flow,
                                               std::size_t set_size) const;
@@ -168,12 +160,9 @@ class Topology {
   [[nodiscard]] sim::PortId port_toward(sim::NodeId from, sim::NodeId to) const;
   void invalidate_paths() noexcept;
 
-  /// Process-unique instance id + invalidation epoch for the per-worker
-  /// thread-local caches.  Only mutated while the simulation is quiescent
-  /// (topology wiring happens before/between runs), so workers never
-  /// observe a concurrent write.
+  /// Process-unique instance id: the resource a path-epoch LaneAccess
+  /// names for schedule exploration (DESIGN.md §13).
   const std::uint64_t topology_id_;
-  std::uint64_t path_epoch_ = 0;
 
   sim::Simulator sim_;
   std::unordered_map<sim::NodeId, Switch*> switches_;

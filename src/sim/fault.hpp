@@ -4,7 +4,7 @@
 // and duplication driven by a private SplitMix64 stream derived from the
 // scenario seed and the channel's name.  Draws happen where the message is
 // emitted — always on the simulator's global lane — so a faulted run stays
-// bit-identical at any shard or worker count, and the model checker can
+// bit-identical at any shard count, and the model checker can
 // replay it schedule by schedule.
 
 #include <cstdint>

@@ -3,14 +3,12 @@
 // Schedule-controller hook for the multi-queue simulator (DESIGN.md §13).
 //
 // The wave loop in Simulator::run_wave normally executes the shard-lane
-// phase in canonical ascending-lane order (serially) or in parallel with a
-// canonical staged merge; either way the observable event sequence is the
-// same.  A ScheduleController lets a model checker dictate the *modeled
-// arrival order* of the shard-lane batches instead: the wave still runs
-// serially, but the per-wave lane execution order is whatever plan_wave
-// returns, while the staged cross-lane merge stays canonical (ascending
-// lane order) — exactly the commutativity obligation the deterministic-
-// merge spec places on shard code.  If shard lanes only communicate through
+// phase serially in canonical ascending-lane order.  A ScheduleController
+// lets a model checker dictate the *modeled arrival order* of the
+// shard-lane batches instead: the per-wave lane execution order is
+// whatever plan_wave returns, while the staged cross-lane merge stays
+// canonical (ascending lane order) — exactly the commutativity obligation
+// the deterministic-merge spec places on shard code.  If shard lanes only communicate through
 // the staged global-lane commit protocol, every execution order yields a
 // bit-identical ScenarioResult; a divergence is an ordering bug.
 //

@@ -3,21 +3,19 @@
 #include <algorithm>
 #include <utility>
 
-#include "sim/worker_pool.hpp"
 #include "util/logging.hpp"
 
 namespace identxx::sim {
 
 namespace {
 
-/// Which simulator/lane the current thread is executing an event for, and
-/// (during the parallel shard phase) where its newly scheduled events go.
-/// Thread-local so shard-lane handlers on pool threads stage instead of
-/// touching the shared queues.  `origin` is the shard lane the current
-/// event is attributed to for schedule-exploration footprints: the
-/// executing lane for shard work, or — for global-lane events such as
-/// staged decision commits — the shard lane whose execution scheduled
-/// them, propagated transitively through schedule_on.
+/// Which simulator/lane the current event executes for, and (for shard
+/// lanes under a ScheduleController) where its newly scheduled events are
+/// staged.  `origin` is the shard lane the current event is attributed to
+/// for schedule-exploration footprints: the executing lane for shard
+/// work, or — for global-lane events such as staged decision commits —
+/// the shard lane whose execution scheduled them, propagated transitively
+/// through schedule_on.
 struct ExecContext {
   Simulator* sim = nullptr;
   LaneId lane = kGlobalLane;
@@ -65,17 +63,6 @@ void Simulator::configure_shard_lanes(std::uint32_t shard_lanes) {
   while (lanes_.size() < static_cast<std::size_t>(shard_lanes) + 1) {
     lanes_.emplace_back();
   }
-}
-
-void Simulator::set_workers(std::uint32_t workers) {
-  if (workers > workers_) {
-    workers_ = workers;
-    pool_.reset();  // rebuilt at the right size on the next parallel wave
-  }
-}
-
-void Simulator::ensure_pool() {
-  if (!pool_) pool_ = std::make_unique<WorkerPool>(workers_);
 }
 
 void Simulator::connect(NodeId a, PortId a_port, NodeId b, PortId b_port,
@@ -149,7 +136,7 @@ void Simulator::schedule_on(LaneId lane, SimTime when,
   LaneId origin = t_exec.sim == this ? t_exec.origin : kGlobalLane;
   if (origin == kGlobalLane) origin = lane;
   if (t_exec.sim == this && t_exec.staging != nullptr) {
-    // Parallel shard phase: stage; the epoch barrier merges in lane order.
+    // Explored shard phase: stage; the wave barrier merges in lane order.
     t_exec.staging->push_back(
         StagedEvent{lane, when, origin, std::move(callback)});
     return;
@@ -213,10 +200,8 @@ std::uint64_t Simulator::run_wave(SimTime t) {
     }
   }
 
-  // Shard-lane phase: lanes touch disjoint shard-local state, so they may
-  // run in parallel.  New events are staged per lane and merged at the
-  // barrier in lane order — the same order a serial pass produces — so the
-  // result is independent of the worker count.
+  // Shard-lane phase: serially, in ascending lane order.  Events the
+  // lanes schedule go straight into the queues.
   std::vector<LaneId> active;
   for (LaneId lane = 1; lane < batches.size(); ++lane) {
     if (!batches[lane].empty()) active.push_back(lane);
@@ -224,11 +209,11 @@ std::uint64_t Simulator::run_wave(SimTime t) {
   if (!active.empty()) {
     if (schedule_controller_ != nullptr) {
       // Schedule-exploration path (DESIGN.md §13): run the shard batches
-      // serially in the order the controller dictates — the modeled
-      // arrival order — while keeping the cross-lane merge canonical
-      // (ascending lane order), exactly as the parallel barrier would.
-      // With an identity controller this is bit-identical to both serial
-      // and parallel canonical execution.
+      // in the order the controller dictates — the modeled arrival order
+      // — while keeping the cross-lane merge canonical: new events are
+      // staged per lane and pushed at the barrier in ascending lane
+      // order, the order the serial pass pushes them in.  With an
+      // identity controller this is bit-identical to canonical execution.
       std::vector<LaneId> order = active;
       schedule_controller_->plan_wave(t, order);
       std::vector<std::vector<StagedEvent>> staged(order.size());
@@ -260,41 +245,13 @@ std::uint64_t Simulator::run_wave(SimTime t) {
           }
         }
       }
-    } else if (workers_ <= 1 || active.size() == 1) {
+    } else {
       for (const LaneId lane : active) {
         ExecScope scope(this, lane, nullptr, lane);
         for (Event& event : batches[lane]) {
           event.action();
           ++executed;
         }
-      }
-    } else {
-      std::vector<std::vector<StagedEvent>> staged(active.size());
-      std::vector<std::exception_ptr> errors(active.size());
-      std::vector<std::function<void()>> tasks;
-      tasks.reserve(active.size());
-      for (std::size_t k = 0; k < active.size(); ++k) {
-        tasks.push_back([this, &batches, &staged, &errors, k,
-                         lane = active[k]]() noexcept {
-          ExecScope scope(this, lane, &staged[k], lane);
-          try {
-            for (Event& event : batches[lane]) event.action();
-          } catch (...) {
-            errors[k] = std::current_exception();
-          }
-        });
-      }
-      ensure_pool();
-      pool_->run(tasks);
-      for (const LaneId lane : active) executed += batches[lane].size();
-      for (auto& lane_staged : staged) {
-        for (StagedEvent& event : lane_staged) {
-          push_event(event.lane, event.when, event.origin,
-                     std::move(event.action));
-        }
-      }
-      for (const auto& error : errors) {
-        if (error) std::rethrow_exception(error);
       }
     }
   }

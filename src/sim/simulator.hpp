@@ -19,13 +19,13 @@
 // packet / control-channel event, and one extra lane per admission domain
 // carries that shard's decision work.  Execution proceeds in virtual-clock
 // epochs ("waves"): all events at the earliest pending timestamp run
-// together — the global lane first, serially, then the shard lanes, which
-// touch only shard-local state and may therefore run in parallel on a
-// WorkerPool.  Events scheduled during the parallel phase are staged per
-// lane and merged at the epoch barrier in lane order, so the resulting
-// event sequence is bit-identical whatever the worker count (and, for
-// single-lane configurations, identical to the historical single-queue
-// order).
+// together — the global lane first, then the shard lanes in ascending lane
+// order, all on the calling thread.  Shard-lane events touch only
+// shard-local state and reach shared state through events they schedule
+// onto the global lane, so the lanes are a deterministic partition that a
+// ScheduleController may reorder (DESIGN.md §13) without changing the
+// result.  Single-lane configurations reproduce the historical
+// single-queue order.
 
 #include <cstdint>
 #include <functional>
@@ -40,8 +40,6 @@
 #include "util/error.hpp"
 
 namespace identxx::sim {
-
-class WorkerPool;
 
 /// Simulated time in nanoseconds since simulation start.
 using SimTime = std::int64_t;
@@ -165,11 +163,6 @@ class Simulator {
     return static_cast<std::uint32_t>(lanes_.size());
   }
 
-  /// Real parallelism for the shard-lane phase of each wave (1 = serial).
-  /// Determinism does not depend on this value.  Only grows.
-  void set_workers(std::uint32_t workers);
-  [[nodiscard]] std::uint32_t workers() const noexcept { return workers_; }
-
   // ---- schedule exploration (DESIGN.md §13) ---------------------------------
 
   /// Attach a ScheduleController: every shard-lane phase then runs
@@ -219,8 +212,8 @@ class Simulator {
     tracer_ = std::move(tracer);
   }
 
-  /// An event scheduled from inside the parallel shard phase, buffered
-  /// until the epoch barrier merges it deterministically.  `origin` is
+  /// An event scheduled from a shard lane under a ScheduleController,
+  /// buffered until the wave barrier merges it canonically.  `origin` is
   /// the shard lane the event is attributed to for schedule-exploration
   /// footprints (kGlobalLane for work with no shard ancestry).
   struct StagedEvent {
@@ -253,15 +246,12 @@ class Simulator {
   std::uint64_t run_wave(SimTime t);
   void push_event(LaneId lane, SimTime when, LaneId origin,
                   std::function<void()> action);
-  void ensure_pool();
 
   std::vector<std::unique_ptr<Node>> nodes_;
   std::unordered_map<std::uint64_t, LinkEnd> links_;  // key: node<<16 | port
   std::vector<Lane> lanes_;
   SimTime now_ = 0;
   std::uint64_t next_sequence_ = 0;
-  std::uint32_t workers_ = 1;
-  std::unique_ptr<WorkerPool> pool_;
   ScheduleController* schedule_controller_ = nullptr;
   bool fault_merge_arrival_order_ = false;
   SimStats stats_;

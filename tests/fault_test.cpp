@@ -2,8 +2,8 @@
 // seeded channel loss/duplication/delay, daemon crash/restart, the
 // timeout/retry/backoff ladder, degraded fail-closed covers and
 // re-admission probes — all of it deterministic: a faulted run at a fixed
-// seed is bit-identical at any shard count, worker count, and (via
-// mc::Explorer) any shard-lane schedule.
+// seed is bit-identical at any shard count and (via mc::Explorer) any
+// shard-lane schedule.
 
 #include <gtest/gtest.h>
 
@@ -14,7 +14,6 @@
 #include "core/scenario.hpp"
 #include "mc/explorer.hpp"
 #include "sim/fault.hpp"
-#include "sim/worker_pool.hpp"
 #include "util/error.hpp"
 
 namespace identxx {
@@ -24,24 +23,19 @@ using core::Scenario;
 using core::ScenarioOptions;
 using core::ScenarioResult;
 
-/// Run `scenario` classic and at every shard/worker combination, assert
-/// equivalence, and hand back the classic result.
+/// Run `scenario` classic and at every shard count, assert equivalence,
+/// and hand back the classic result.
 ScenarioResult assert_invariant_across_configs(const Scenario& scenario,
                                                ScenarioOptions base = {}) {
   ScenarioOptions classic = base;
   classic.shards = 0;
   const ScenarioResult reference = scenario.run(classic);
-  const std::uint32_t hw = sim::WorkerPool::hardware_workers();
   for (const std::uint32_t shards : {1u, 4u}) {
-    for (const std::uint32_t workers : {1u, hw}) {
-      ScenarioOptions opts = base;
-      opts.shards = shards;
-      opts.workers = workers;
-      const ScenarioResult result = scenario.run(opts);
-      EXPECT_TRUE(result.equivalent_to(reference))
-          << shards << " shard(s) x " << workers
-          << " worker(s) diverges from the classic run";
-    }
+    ScenarioOptions opts = base;
+    opts.shards = shards;
+    const ScenarioResult result = scenario.run(opts);
+    EXPECT_TRUE(result.equivalent_to(reference))
+        << shards << " shard(s) diverges from the classic run";
   }
   return reference;
 }
@@ -116,10 +110,10 @@ flow f2 c0 10.0.0.2 443
 traffic f2 cbr packets=16 rate=2000
 )SCN";
 
-TEST(FaultDeterminism, ChannelFaultsAreShardAndWorkerInvariant) {
+TEST(FaultDeterminism, ChannelFaultsAreShardInvariant) {
   // Heavy loss/dup/delay on every control channel: injections draw on the
   // global lane from per-switch streams, so the classic run and every
-  // shard/worker combination must agree bit for bit — faults included.
+  // shard count must agree bit for bit — faults included.
   const Scenario scenario = Scenario::parse(kFaultyMeshScenario);
   const ScenarioResult reference = assert_invariant_across_configs(scenario);
   // The faults actually fired (otherwise this test is vacuous).
@@ -139,7 +133,7 @@ TEST(FaultDeterminism, RepeatRunsAreBitIdentical) {
 TEST(FaultDeterminism, DuplicatedChannelIsDeduped) {
   // dup=1.0 doubles every control message.  The duplicate responses are
   // counted and dropped (first answer wins; consumed packets memoized), and
-  // the run stays shard/worker invariant.
+  // the run stays shard invariant.
   const Scenario scenario = Scenario::parse(R"SCN(
 seed 5
 switch s0
@@ -215,9 +209,9 @@ TEST(RetryBackoff, RetriesExhaustToTheLegacyTimeoutDecision) {
   EXPECT_EQ(retried.fault_stats.daemon_queries_ignored, 3u);
 }
 
-TEST(RetryBackoff, RetryConfigIsShardAndWorkerInvariant) {
+TEST(RetryBackoff, RetryConfigIsShardInvariant) {
   // Retry deadlines carry seeded jitter; the jitter is a pure hash of
-  // (flow, attempt, seed), so it cannot depend on shard or worker count.
+  // (flow, attempt, seed), so it cannot depend on the shard count.
   const Scenario scenario = Scenario::parse(kDaemonDownScenario);
   ScenarioOptions base;
   base.config.max_query_retries = 3;
@@ -231,7 +225,7 @@ TEST(RetryBackoff, ResponseArrivingNearTheDeadlineStaysDeterministic) {
   // Edge case: shrink query_timeout to straddle the actual response RTT,
   // including the exact virtual instant where the response and the
   // deadline sweep coincide.  Whatever the verdict at each timeout value,
-  // it must be identical run-to-run and across shard/worker configs.
+  // it must be identical run-to-run and across shard counts.
   const Scenario scenario = Scenario::parse(R"SCN(
 seed 31
 switch s1
@@ -364,12 +358,12 @@ expect f1 delivered
 
 // -------------------------------------------- races and schedule exploration
 
-TEST(FaultRaces, TimeoutCoincidingWithControlEpochBumpIsWorkerInvariant) {
+TEST(FaultRaces, TimeoutCoincidingWithControlEpochBumpReplaysIdentically) {
   // A revoke_all lands at the same virtual instant as the timeout sweep:
   // in sharded runs the timeout verdict is dispatched to a shard lane and
   // must be re-decided at commit under the bumped control epoch.  Classic
   // and sharded runs may legitimately order these differently, but a fixed
-  // shard count must be invariant across worker counts and repeat runs.
+  // shard count must replay identically.
   const Scenario scenario = Scenario::parse(R"SCN(
 seed 37
 switch s1
@@ -391,16 +385,12 @@ fault retry max=1 degraded_ttl_us=20000 probe_delay_us=100000
 control 150000 revoke_all
 flow f1 c1 10.0.0.2 80
 )SCN");
-  const std::uint32_t hw = sim::WorkerPool::hardware_workers();
   for (const std::uint32_t shards : {1u, 2u, 4u}) {
     SCOPED_TRACE("shards " + std::to_string(shards));
-    ScenarioOptions serial;
-    serial.shards = shards;
-    const ScenarioResult reference = scenario.run(serial);
-    ScenarioOptions parallel = serial;
-    parallel.workers = hw;
-    EXPECT_TRUE(scenario.run(parallel).equivalent_to(reference));
-    EXPECT_TRUE(scenario.run(serial).equivalent_to(reference));
+    ScenarioOptions options;
+    options.shards = shards;
+    const ScenarioResult reference = scenario.run(options);
+    EXPECT_TRUE(scenario.run(options).equivalent_to(reference));
   }
 }
 

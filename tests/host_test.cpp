@@ -61,6 +61,30 @@ TEST(HostModel, ConnectFlowAllocatesDistinctPorts) {
   EXPECT_EQ(f1.dst_port, 80);
 }
 
+TEST(HostModel, ConnectFlowSkipsOpenPortsAfterWrap) {
+  auto h = make_host();
+  h->add_user("alice", "users");
+  const int pid = h->launch("alice", "/bin/x");
+  constexpr std::size_t kPorts = 65535 - 40000 + 1;
+  std::vector<net::FiveTuple> flows;
+  flows.reserve(kPorts);
+  for (std::size_t i = 0; i < kPorts; ++i) {
+    flows.push_back(h->connect_flow(pid, kPeerIp, 80));
+  }
+  EXPECT_EQ(flows.front().src_port, 40000);
+  EXPECT_EQ(flows.back().src_port, 65535);
+  // Every port to 10.0.0.2:80 is open: no 5-tuple is left to hand out.
+  EXPECT_THROW((void)h->connect_flow(pid, kPeerIp, 80), Error);
+  // Another destination still has every port free.
+  EXPECT_EQ(h->connect_flow(pid, kPeerIp, 443).src_port, 40000);
+
+  h->close_flow(flows[1234]);
+  const auto reused = h->connect_flow(pid, kPeerIp, 80);
+  EXPECT_EQ(reused.src_port, flows[1234].src_port);
+  EXPECT_TRUE(h->resolve(reused, false).has_value());
+  EXPECT_THROW((void)h->connect_flow(pid, kPeerIp, 80), Error);
+}
+
 TEST(HostModel, ResolveOutboundFlow) {
   auto h = make_host();
   h->add_user("alice", "research");

@@ -78,8 +78,8 @@ expect f2 blocked
 )";
 
 // Diamond topology with 2 equal-cost paths; the raced set_multipath bumps
-// the topology's path epoch mid-admission, racing the per-worker path-memo
-// invalidation against cached_path_set readers on the shard lanes.
+// the topology's path epoch mid-admission, racing the path-memo flush
+// against cached_path_set readers on the shard lanes.
 constexpr char kEcmpEpochBump[] = R"(
 switch s1
 switch s2
@@ -215,8 +215,8 @@ TEST(McExplorer, SetPolicyMidBurstIsScheduleInvariant) {
 
 TEST(McExplorer, EcmpEpochBumpIsScheduleInvariant) {
   // Satellite of DESIGN.md §12: the raced set_multipath bumps the path
-  // epoch while shard-lane work holds per-worker path memos; every
-  // schedule must still pick identical paths.
+  // epoch while shard-lane work reads the path memo; every schedule must
+  // still pick identical paths.
   ScenarioOptions base;
   base.k_paths = 2;
   for (const std::uint32_t shards : {2u, 3u}) {

@@ -5,19 +5,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
-#include <chrono>
 #include <functional>
 #include <list>
 #include <map>
-#include <thread>
 #include <unordered_map>
 
 #include "openflow/flow_table.hpp"
 #include "openflow/match.hpp"
 #include "openflow/switch.hpp"
 #include "openflow/topology.hpp"
-#include "sim/worker_pool.hpp"
 #include "util/rng.hpp"
 
 namespace identxx::openflow {
@@ -1251,67 +1247,6 @@ TEST_F(DiamondFixture, EcmpSeedChangesSelectionPattern) {
     second.push_back((*p)[1].switch_id == s2 ? 0 : 1);
   }
   EXPECT_NE(first, second);  // 2^-32 chance of colliding per seed pair
-}
-
-// Satellite regression: a worker thread's thread-local path memo must not
-// serve stale hops after the main thread rewired the topology (the memos
-// are invalidated by an epoch bump in link()).
-TEST(TopologyTest, WorkerPathMemoInvalidatedOnLink) {
-  Topology topo;
-  const auto s1 = topo.add_switch(std::make_unique<Switch>("s1"));
-  const auto s2 = topo.add_switch(std::make_unique<Switch>("s2"));
-  const auto h1 = topo.add_host(std::make_unique<SwitchFixture::HostStub>("h1"));
-  const auto h2 = topo.add_host(std::make_unique<SwitchFixture::HostStub>("h2"));
-  topo.link(h1, s1);
-  topo.link(s1, s2);
-  topo.link(h2, s2);
-
-  sim::WorkerPool pool(2);
-  // Run one path query on a pool thread (worker slot != 0, so it goes
-  // through the thread-local memo).  Task distribution races between the
-  // caller and the pool thread, so both tasks share one body: the pool
-  // thread queries, the caller just waits for it.
-  const auto query_on_worker = [&]() -> std::optional<std::size_t> {
-    std::atomic<bool> done{false};
-    std::atomic<bool> ran_on_worker{false};
-    std::atomic<std::size_t> hops{0};
-    const std::function<void()> body = [&]() {
-      if (sim::WorkerPool::current_worker_slot() != 0) {
-        const auto path = topo.path(h1, h2);
-        hops.store(path.has_value() ? path->size() : 0);
-        ran_on_worker.store(true);
-        done.store(true);
-        return;
-      }
-      const auto deadline =
-          std::chrono::steady_clock::now() + std::chrono::seconds(5);
-      while (!done.load() && std::chrono::steady_clock::now() < deadline) {
-        std::this_thread::yield();
-      }
-    };
-    std::vector<std::function<void()>> tasks{body, body};
-    pool.run(tasks);
-    if (!ran_on_worker.load()) return std::nullopt;  // caller drained both
-    return hops.load();
-  };
-
-  std::optional<std::size_t> before;
-  for (int attempt = 0; attempt < 100 && !before; ++attempt) {
-    before = query_on_worker();
-  }
-  ASSERT_TRUE(before.has_value());
-  EXPECT_EQ(*before, 2u);  // h1 - s1 - s2 - h2
-
-  // Main thread rewires: direct s1—h2 shortcut.  The worker's memo was
-  // populated before this; serving it again would hand out stale hops.
-  topo.link(s1, h2);
-
-  std::optional<std::size_t> after;
-  for (int attempt = 0; attempt < 100 && !after; ++attempt) {
-    after = query_on_worker();
-  }
-  ASSERT_TRUE(after.has_value());
-  EXPECT_EQ(*after, 1u);  // s1 straight to h2, not the stale 2-hop path
 }
 
 // ---------------------------------------------------------- output queues

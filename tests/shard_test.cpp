@@ -1,6 +1,6 @@
 // Sharded admission domains (DESIGN.md §10): ShardMap consistency, the
-// multi-lane simulator's worker-count-invariant determinism, ScenarioResult
-// equality across shard/worker counts, cross-shard revocation ordering
+// multi-lane simulator's canonical commit order, ScenarioResult equality
+// across shard counts, cross-shard revocation ordering
 // (a revoke_all / set_policy racing in-flight admissions must never leave
 // a stale cover or decision-cache entry in any domain), and per-shard
 // cookie namespacing.
@@ -13,7 +13,6 @@
 #include "controller/sharded_controller.hpp"
 #include "core/network.hpp"
 #include "core/scenario.hpp"
-#include "sim/worker_pool.hpp"
 
 namespace identxx {
 namespace {
@@ -90,12 +89,10 @@ TEST(ShardMapTest, CookieTagRoundTrips) {
 // ----------------------------------------------------------- simulator lanes
 
 /// Shard-lane events schedule their "commits" back onto the global lane;
-/// the committed order must be canonical (lane-major, FIFO within a lane)
-/// and identical at any worker count.
-std::vector<int> run_lane_commits(std::uint32_t workers) {
+/// the committed order must be canonical (lane-major, FIFO within a lane).
+TEST(SimulatorLanes, CommitOrderIsCanonical) {
   sim::Simulator sim;
   sim.configure_shard_lanes(4);
-  sim.set_workers(workers);
   std::vector<int> commits;
   for (int lane = 1; lane <= 4; ++lane) {
     for (int k = 0; k < 3; ++k) {
@@ -109,21 +106,14 @@ std::vector<int> run_lane_commits(std::uint32_t workers) {
     }
   }
   sim.run();
-  return commits;
-}
-
-TEST(SimulatorLanes, CommitOrderIsWorkerCountInvariant) {
   const std::vector<int> expected{10, 11, 12, 20, 21, 22,
                                   30, 31, 32, 40, 41, 42};
-  EXPECT_EQ(run_lane_commits(1), expected);
-  EXPECT_EQ(run_lane_commits(4), expected);
-  EXPECT_EQ(run_lane_commits(sim::WorkerPool::hardware_workers()), expected);
+  EXPECT_EQ(commits, expected);
 }
 
 TEST(SimulatorLanes, ShardEventsInheritTheirLane) {
   sim::Simulator sim;
   sim.configure_shard_lanes(2);
-  sim.set_workers(2);
   std::vector<int> order;
   // A shard event's plain schedule_after stays on its lane; the follow-up
   // can still message the global lane.  Lane 2's first-wave event fires
@@ -192,7 +182,7 @@ expect f3 delivered
 expect f4 blocked
 )";
 
-TEST(ShardedScenario, ResultInvariantAcrossShardAndWorkerCounts) {
+TEST(ShardedScenario, ResultInvariantAcrossShardCounts) {
   const Scenario scenario = Scenario::parse(kScenario);
 
   ScenarioOptions classic;  // shards = 0: single controller
@@ -201,21 +191,16 @@ TEST(ShardedScenario, ResultInvariantAcrossShardAndWorkerCounts) {
   ASSERT_EQ(base.flows.size(), 4u);
 
   for (const std::uint32_t shards : {1u, 4u}) {
-    for (const std::uint32_t workers :
-         {1u, sim::WorkerPool::hardware_workers()}) {
-      ScenarioOptions options;
-      options.shards = shards;
-      options.workers = workers;
-      const auto result = scenario.run(options);
-      EXPECT_TRUE(result.equivalent_to(base))
-          << "shards=" << shards << " workers=" << workers;
-      ASSERT_EQ(result.domain_stats.size(), std::max(shards, 1u));
-      // The per-domain breakdown re-aggregates to the single-controller
-      // totals.
-      ctrl::ControllerStats sum;
-      for (const auto& stats : result.domain_stats) sum.accumulate(stats);
-      EXPECT_EQ(sum, base.controller_stats);
-    }
+    ScenarioOptions options;
+    options.shards = shards;
+    const auto result = scenario.run(options);
+    EXPECT_TRUE(result.equivalent_to(base)) << "shards=" << shards;
+    ASSERT_EQ(result.domain_stats.size(), std::max(shards, 1u));
+    // The per-domain breakdown re-aggregates to the single-controller
+    // totals.
+    ctrl::ControllerStats sum;
+    for (const auto& stats : result.domain_stats) sum.accumulate(stats);
+    EXPECT_EQ(sum, base.controller_stats);
   }
 }
 
@@ -223,7 +208,6 @@ TEST(ShardedScenario, IdenticalSeedsReplayIdentically) {
   const Scenario scenario = Scenario::parse(kScenario);
   ScenarioOptions a;
   a.shards = 4;
-  a.workers = 2;
   a.seed = 99;  // overrides the file's `seed 7`
   const auto first = scenario.run(a);
   const auto second = scenario.run(a);
@@ -242,7 +226,7 @@ TEST(ShardedNetwork, FlowsPartitionAcrossDomainsAndAggregate) {
   auto& server = net.add_host("server", "10.0.1.1");
   net.link(server, s1);
   auto& sharded = net.install_sharded_controller(
-      "block all\npass from any to any port 80\n", 4, 2);
+      "block all\npass from any to any port 80\n", 4);
   server.add_user("www", "daemons");
   const int srv = server.launch("www", "/usr/sbin/httpd");
   server.listen(srv, 80);
@@ -308,7 +292,7 @@ struct RaceRig {
     config.aggregate_installs = aggregate;
     config.query_both_ends = false;  // decide on the single src response
     config.decision_cache_ttl = 60 * sim::kSecond;
-    sharded = &net.install_sharded_controller(policy, 2, 2, config);
+    sharded = &net.install_sharded_controller(policy, 2, config);
     client->add_user("alice", "staff");
     pid = client->launch("alice", "/usr/bin/curl");
     server->add_user("www", "daemons");
@@ -412,7 +396,7 @@ TEST(CookieNamespace, DomainsRevokeOnlyTheirOwnEntries) {
   auto& server = net.add_host("server", "10.0.1.1");
   net.link(server, s1);
   auto& sharded = net.install_sharded_controller(
-      "block all\npass from any to any port 80\n", 2, 1);
+      "block all\npass from any to any port 80\n", 2);
   server.add_user("www", "daemons");
   const int srv = server.launch("www", "/usr/sbin/httpd");
   server.listen(srv, 80);

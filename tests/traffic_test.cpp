@@ -1,7 +1,7 @@
 // Tests for the traffic-model library (src/net/traffic) and the congestion
 // knobs it plugs into (DESIGN.md §12): spec parsing, generator packet
 // accounting, incast tail drops, AIMD backoff, and the bit-identical
-// shard/worker invariant under congestion.
+// shard-count invariant under congestion.
 
 #include <gtest/gtest.h>
 
@@ -9,7 +9,6 @@
 
 #include "core/scenario.hpp"
 #include "net/traffic/traffic.hpp"
-#include "sim/worker_pool.hpp"
 #include "util/error.hpp"
 
 namespace identxx {
@@ -218,7 +217,7 @@ TEST(CongestionTest, AimdBacksOffAndReducesDrops) {
   (void)delivered_cbr;
 }
 
-// --------------------------------------------- shard/worker bit-identity
+// ---------------------------------------------- shard-count bit-identity
 
 constexpr char kDiamondMix[] = R"(
 seed 7
@@ -258,38 +257,32 @@ expect f3 delivered
 )";
 
 ScenarioResult run_sharded(const Scenario& scenario, std::uint32_t shards,
-                           std::uint32_t workers, std::uint32_t k_paths,
-                           std::uint32_t queue_depth,
+                           std::uint32_t k_paths, std::uint32_t queue_depth,
                            const std::string& traffic = "") {
   ScenarioOptions options;
   options.shards = shards;
-  options.workers = workers;
   options.k_paths = k_paths;
   options.queue_depth = queue_depth;
   options.traffic = traffic;
   return scenario.run(options);
 }
 
-TEST(CongestionTest, ElephantMiceBitIdenticalAcrossShardsAndWorkers) {
+TEST(CongestionTest, ElephantMiceBitIdenticalAcrossShards) {
   const Scenario scenario = Scenario::parse(kDiamondMix);
-  const ScenarioResult base = run_sharded(scenario, 1, 1, 2, 4);
+  const ScenarioResult base = run_sharded(scenario, 1, 2, 4);
   // Replay determinism first: the same configuration twice.
-  EXPECT_TRUE(base.equivalent_to(run_sharded(scenario, 1, 1, 2, 4)));
-  // Then across shard counts and real thread counts.
-  EXPECT_TRUE(base.equivalent_to(run_sharded(scenario, 4, 1, 2, 4)));
-  EXPECT_TRUE(base.equivalent_to(run_sharded(
-      scenario, 4, sim::WorkerPool::hardware_workers(), 2, 4)));
+  EXPECT_TRUE(base.equivalent_to(run_sharded(scenario, 1, 2, 4)));
+  // Then across shard counts.
+  EXPECT_TRUE(base.equivalent_to(run_sharded(scenario, 4, 2, 4)));
 }
 
-TEST(CongestionTest, IncastBitIdenticalAcrossShardsAndWorkers) {
+TEST(CongestionTest, IncastBitIdenticalAcrossShards) {
   const Scenario scenario = Scenario::parse(incast_scenario(8));
   const std::string traffic =
       "cbr,packets=64,rate=4000,payload=512,start_us=5000";
-  const ScenarioResult base = run_sharded(scenario, 1, 1, 2, 8, traffic);
+  const ScenarioResult base = run_sharded(scenario, 1, 2, 8, traffic);
   EXPECT_GT(base.queue_tail_drops, 0u);  // the comparison is non-vacuous
-  EXPECT_TRUE(base.equivalent_to(run_sharded(scenario, 4, 1, 2, 8, traffic)));
-  EXPECT_TRUE(base.equivalent_to(run_sharded(
-      scenario, 4, sim::WorkerPool::hardware_workers(), 2, 8, traffic)));
+  EXPECT_TRUE(base.equivalent_to(run_sharded(scenario, 4, 2, 8, traffic)));
 }
 
 // ------------------------------------------------- back-compat defaults
@@ -310,7 +303,7 @@ TEST(CongestionTest, MultipathDeliversUnderEcmp) {
   // Sanity: k_paths > 1 on the diamond still delivers every flow and the
   // selection histogram surfaces in the result.
   const Scenario scenario = Scenario::parse(kDiamondMix);
-  const ScenarioResult result = run_sharded(scenario, 0, 1, 2, 0);
+  const ScenarioResult result = run_sharded(scenario, 0, 2, 0);
   EXPECT_TRUE(result.ok());
   EXPECT_GE(result.path_cache_stats.misses, 1u);
 }

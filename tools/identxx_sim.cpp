@@ -1,16 +1,16 @@
 // identxx_sim — run an ident++ deployment scenario from a description file.
 //
-//   $ identxx_sim [--shards N] [--workers N] [--seed S] scenarios/skype.scn
+//   $ identxx_sim [--shards N] [--seed S] scenarios/skype.scn
 //
 // Builds the topology, installs the controller with the inline policy,
 // launches the declared processes, drives every declared flow through the
 // full Figure-1 sequence, and reports per-flow verdicts plus the
 // controller's audit log.  Exit status 0 when all `expect` lines hold.
 //
-// --shards N   partition admission across N parallel domains (DESIGN.md
-//              §10); per-domain stats are reported after the run.
-// --workers N  real threads driving the shard lanes (results are identical
-//              at any worker count; use 0 for all hardware threads).
+// --shards N   partition admission across N domains, each with its own
+//              serial event lane (DESIGN.md §10); results are identical at
+//              any shard count, and per-domain stats are reported after
+//              the run.
 // --seed S     deterministic RNG seed (overrides the file's `seed` line).
 //
 // Congestion knobs (DESIGN.md §12) — the defaults reproduce the idealized
@@ -42,7 +42,6 @@
 #include <sstream>
 
 #include "core/scenario.hpp"
-#include "sim/worker_pool.hpp"
 #include "util/error.hpp"
 #include "util/strings.hpp"
 #include "scenario_flags.hpp"
@@ -51,7 +50,7 @@ namespace {
 
 void usage() {
   std::fprintf(stderr,
-               "usage: identxx_sim [--shards N] [--workers N] [--seed S] "
+               "usage: identxx_sim [--shards N] [--seed S] "
                "[--src-only] [--traffic MODEL] [--k-paths K] [--link-bw MBPS] "
                "[--queue-depth PKTS] [--chan-loss P] [--chan-dup P] "
                "[--chan-delay-us N] [--max-retries N] [--retry-jitter-us N] "
@@ -85,12 +84,6 @@ int main(int argc, char** argv) {
       const auto n = identxx::util::parse_u64(v);
       if (!n) { usage(); return 1; }
       options.shards = static_cast<std::uint32_t>(*n);
-    } else if (const char* v = flag_value("--workers")) {
-      const auto n = identxx::util::parse_u64(v);
-      if (!n) { usage(); return 1; }
-      options.workers = *n == 0
-                            ? identxx::sim::WorkerPool::hardware_workers()
-                            : static_cast<std::uint32_t>(*n);
     } else if (const char* v = flag_value("--seed")) {
       const auto n = identxx::util::parse_u64(v);
       if (!n) { usage(); return 1; }
@@ -117,8 +110,7 @@ int main(int argc, char** argv) {
                 scenario.switch_count(), scenario.host_count(),
                 scenario.flow_count());
     if (options.shards > 0) {
-      std::printf(", %u shard(s), %u worker(s)", options.shards,
-                  options.workers);
+      std::printf(", %u shard(s)", options.shards);
     }
     std::printf("\n\n");
     const auto result = scenario.run(options);
