@@ -5,6 +5,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <deque>
+
 #include "crypto/schnorr.hpp"
 #include "identxx/daemon_config.hpp"
 #include "pf/eval.hpp"
@@ -13,6 +15,13 @@
 namespace {
 
 using namespace identxx;
+
+/// A ResponseDict borrows its response: keep the ones the benchmark
+/// contexts read alive for the whole run.
+const proto::Response& keep(proto::Response response) {
+  static std::deque<proto::Response> kept;  // stable addresses
+  return kept.emplace_back(std::move(response));
+}
 
 pf::FlowContext make_ctx(const char* app = "skype", const char* version = "210") {
   proto::Response r;
@@ -27,8 +36,9 @@ pf::FlowContext make_ctx(const char* app = "skype", const char* version = "210")
   ctx.flow.dst_ip = *net::Ipv4Address::parse("192.168.0.11");
   ctx.flow.src_port = 40000;
   ctx.flow.dst_port = 80;
-  ctx.src = proto::ResponseDict(r);
-  ctx.dst = proto::ResponseDict(r);
+  const proto::Response& kept = keep(std::move(r));
+  ctx.src = proto::ResponseDict(kept);
+  ctx.dst = proto::ResponseDict(kept);
   return ctx;
 }
 
@@ -134,6 +144,7 @@ struct EvalBenchFixture {
   static constexpr int kFlows = 64;
 
   pf::PolicyEngine engine;
+  std::vector<proto::Response> attestations;  ///< what `flows` borrow
   std::vector<pf::FlowContext> flows;
 
   static std::string policy(const std::string& pubkey_hex) {
@@ -168,6 +179,7 @@ struct EvalBenchFixture {
 
   explicit EvalBenchFixture(const crypto::PrivateKey& key)
       : engine(pf::parse(policy(key.public_key().to_hex()), "bench")) {
+    attestations.reserve(kFlows);  // no reallocation under the dicts
     flows.reserve(kFlows);
     for (int i = 0; i < kFlows; ++i) {
       pf::FlowContext ctx;
@@ -176,7 +188,8 @@ struct EvalBenchFixture {
       ctx.flow.proto = net::IpProto::kTcp;
       ctx.flow.src_port = static_cast<std::uint16_t>(30000 + i);
       ctx.flow.dst_port = 80;
-      ctx.src = proto::ResponseDict(attestation(key, i));
+      ctx.src = proto::ResponseDict(
+          attestations.emplace_back(attestation(key, i)));
       flows.push_back(std::move(ctx));
     }
   }

@@ -46,7 +46,7 @@ AdmissionContext* ResponseCollector::find(const net::FiveTuple& flow) {
 
 AdmissionContext* ResponseCollector::accept_response(
     net::Ipv4Address responder, net::Ipv4Address peer,
-    const proto::Response& response, bool* duplicate) {
+    proto::Response& response, bool* duplicate) {
   if (duplicate != nullptr) *duplicate = false;
   // Responder was the flow source?
   const net::FiveTuple as_src{responder, peer, response.proto,
@@ -57,7 +57,7 @@ AdmissionContext* ResponseCollector::accept_response(
       // crossing the original) must not rewrite identity mid-decision.
       if (duplicate != nullptr) *duplicate = true;
     } else {
-      it->second.src_response = response;
+      it->second.src_response = std::move(response);
     }
     return &it->second;
   }
@@ -68,7 +68,7 @@ AdmissionContext* ResponseCollector::accept_response(
     if (it->second.dst_response) {
       if (duplicate != nullptr) *duplicate = true;
     } else {
-      it->second.dst_response = response;
+      it->second.dst_response = std::move(response);
     }
     return &it->second;
   }
@@ -523,6 +523,10 @@ PolicyDecisionEngine::PolicyDecisionEngine(pf::Ruleset ruleset,
                                                  std::move(registry))),
       honor_keep_state_(honor_keep_state),
       covers_(compute_covers(engine_->ruleset())) {
+  rule_texts_.reserve(engine_->ruleset().rules.size());
+  for (const pf::Rule& rule : engine_->ruleset().rules) {
+    rule_texts_.push_back(pf::to_string(rule));
+  }
   // Public keys embedded in the policy (dict values, e.g. @pubkeys[...])
   // are long-lived — register each with the verifier now so its comb table
   // is built once, here, instead of lazily on the flow-setup hot path.
@@ -575,14 +579,17 @@ AdmissionDecision PolicyDecisionEngine::to_decision(
   decision.allowed = verdict.allowed();
   decision.keep_state = honor_keep_state_ && verdict.keep_state;
   decision.logged = verdict.log;
-  decision.rule = verdict.rule ? pf::to_string(*verdict.rule) : "default";
-  if (verdict.rule != nullptr) {
-    // Attach the precomputed aggregation covers of the matched rule.
-    const auto& rules = engine_->ruleset().rules;
-    if (!rules.empty() && verdict.rule >= rules.data() &&
-        verdict.rule < rules.data() + rules.size()) {
-      decision.covers = covers_[static_cast<std::size_t>(verdict.rule - rules.data())];
-    }
+  if (verdict.rule == nullptr) return decision;  // rule stays "default"
+  const auto& rules = engine_->ruleset().rules;
+  if (!rules.empty() && verdict.rule >= rules.data() &&
+      verdict.rule < rules.data() + rules.size()) {
+    // A rule of the ruleset: its rendering and aggregation covers were
+    // precomputed.
+    const auto i = static_cast<std::size_t>(verdict.rule - rules.data());
+    decision.rule = rule_texts_[i];
+    decision.covers = covers_[i];
+  } else {
+    decision.rule = pf::to_string(*verdict.rule);
   }
   return decision;
 }

@@ -237,6 +237,9 @@ struct QueryPlan {
 struct AdmissionContext {
   net::FiveTuple flow;
   std::vector<openflow::PacketIn> buffered;
+  /// The parsed answers, moved in by ResponseCollector::accept_response.
+  /// The ResponseDicts a decision reads borrow them, so a dict must not
+  /// outlive this context (DESIGN.md §2.1).
   std::optional<proto::Response> src_response;
   std::optional<proto::Response> dst_response;
   /// The query plan that opened this context, kept so deadline retries can
@@ -329,15 +332,16 @@ class ResponseCollector {
   [[nodiscard]] AdmissionContext* find(const net::FiveTuple& flow);
 
   /// Match an on-the-wire response to a pending flow: the responder may be
-  /// the flow's source or its destination.  Fills the matching slot and
-  /// returns the context, or nullptr when no pending flow matches (a
-  /// response transiting this domain).  A response for a slot that is
-  /// already filled (a duplicated channel delivery, or a retry's answer
-  /// crossing the original) is NOT applied — first answer wins — and is
-  /// flagged through `duplicate` when the caller asks (DESIGN.md §14).
+  /// the flow's source or its destination.  Fills the matching slot by
+  /// moving `response` into it and returns the context, or nullptr when no
+  /// pending flow matches (a response transiting this domain).  A response
+  /// for a slot that is already filled (a duplicated channel delivery, or
+  /// a retry's answer crossing the original) is NOT applied — first answer
+  /// wins — and is flagged through `duplicate` when the caller asks
+  /// (DESIGN.md §14).  `response` is moved from only when it fills a slot.
   AdmissionContext* accept_response(net::Ipv4Address responder,
                                     net::Ipv4Address peer,
-                                    const proto::Response& response,
+                                    proto::Response& response,
                                     bool* duplicate = nullptr);
 
   /// Both sides answered (or were never asked)?
@@ -464,6 +468,8 @@ class PolicyDecisionEngine : public DecisionEngine {
   bool honor_keep_state_ = true;
   /// Per-rule aggregation covers, computed once from the ruleset.
   std::vector<std::vector<openflow::FlowMatch>> covers_;
+  /// Per-rule audit renderings (pf::to_string), made once from the ruleset.
+  std::vector<std::string> rule_texts_;
 };
 
 /// Classic firewall rule: first-match ACL over network primitives.

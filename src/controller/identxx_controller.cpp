@@ -12,14 +12,21 @@ namespace {
 const net::MacAddress kControllerMac{0x02c0ffee0000ULL};
 
 /// Key hints included in every query (§3.2: hints only; daemons may return
-/// more).
-const std::vector<std::string> kDefaultQueryKeys = {
-    proto::keys::kUserId,      proto::keys::kGroupId,
-    proto::keys::kName,        proto::keys::kVersion,
-    proto::keys::kExeHash,     proto::keys::kRequirements,
-    proto::keys::kReqSig,      proto::keys::kRuleMaker,
-    proto::keys::kOsPatch,
-};
+/// more), rendered once as the query's key lines.
+const std::string& default_query_key_lines() {
+  static const std::string lines = [] {
+    std::string out;
+    for (const char* key :
+         {proto::keys::kUserId, proto::keys::kGroupId, proto::keys::kName,
+          proto::keys::kVersion, proto::keys::kExeHash,
+          proto::keys::kRequirements, proto::keys::kReqSig,
+          proto::keys::kRuleMaker, proto::keys::kOsPatch}) {
+      out.append(key).push_back('\n');
+    }
+    return out;
+  }();
+  return lines;
+}
 
 }  // namespace
 
@@ -96,12 +103,6 @@ bool IdentxxController::send_query(const net::FiveTuple& flow,
   const auto attachment = topology().attachment(host->node);
   if (!attachment) return false;
 
-  proto::Query query;
-  query.proto = flow.proto;
-  query.src_port = flow.src_port;
-  query.dst_port = flow.dst_port;
-  query.keys = kDefaultQueryKeys;
-
   // §3.2: the query's source IP is the flow's other endpoint.  The
   // ephemeral source port comes from the per-controller seeded stream when
   // one is configured (seed_query_ports), else the sequential counter.
@@ -115,7 +116,9 @@ bool IdentxxController::send_query(const net::FiveTuple& flow,
   }
   net::Packet packet = net::make_tcp_packet(
       kControllerMac, host->mac, target.spoof_src, target.target,
-      query_port, proto::kIdentPort, query.serialize(),
+      query_port, proto::kIdentPort,
+      proto::serialize_query(flow.proto, flow.src_port, flow.dst_port,
+                             default_query_key_lines()),
       net::TcpFlags::kPsh | net::TcpFlags::kAck);
 
   // Inject directly out of the host-facing port.
@@ -140,7 +143,8 @@ void IdentxxController::handle_ident_packet(const openflow::PacketIn& msg,
                                   << e.what();
     return;
   }
-  handle_ident_response(msg, response);
+  if (try_consume_response(msg, response)) return;
+  handle_transit_response(msg, response);
 }
 
 void IdentxxController::handle_transit_query(const openflow::PacketIn& msg) {
@@ -172,19 +176,10 @@ void IdentxxController::handle_transit_query(const openflow::PacketIn& msg) {
   forward_one_hop(msg, target_ip);
 }
 
-void IdentxxController::handle_ident_response(const openflow::PacketIn& msg,
-                                              const proto::Response& response) {
-  if (try_consume_response(msg, response)) return;
-  handle_transit_response(msg, response);
-}
-
 bool IdentxxController::try_consume_response(const openflow::PacketIn& msg,
-                                             const proto::Response& response) {
+                                             proto::Response& response) {
   const net::Ipv4Address responder = msg.packet.ip.src;
   const net::Ipv4Address peer = msg.packet.ip.dst;
-  bool duplicate = false;
-  AdmissionContext* ctx =
-      collector().accept_response(responder, peer, response, &duplicate);
   // The memo key covers the flow-oriented 5-tuple AND the carrying
   // packet's ports: a channel-duplicated punt is byte-identical (same
   // controller query port), while a fresh response about the same flow —
@@ -195,6 +190,9 @@ bool IdentxxController::try_consume_response(const openflow::PacketIn& msg,
   const net::FiveTuple pkt = msg.packet.five_tuple();
   const auto key = RecentKeys::Key::of(
       as_src, (std::uint32_t{pkt.src_port} << 16) | pkt.dst_port);
+  bool duplicate = false;
+  AdmissionContext* ctx =
+      collector().accept_response(responder, peer, response, &duplicate);
   const sim::SimTime now = simulator().now();
   if (ctx == nullptr) {
     // No pending flow — but if this exact packet was consumed moments

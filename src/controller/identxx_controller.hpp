@@ -101,10 +101,12 @@ class IdentxxController : public AdmissionController {
   // orientations can hash to different shards).
 
   /// Consume `response` if it matches one of this controller's pending
-  /// flows: counts it, fills the context and decides.  Returns false —
-  /// with nothing counted — when no pending flow matches.
+  /// flows: counts it, moves it into the context and decides.  Returns
+  /// false — with nothing counted and `response` untouched — when no
+  /// pending flow matches, so the caller may probe another domain or
+  /// forward it in transit.
   bool try_consume_response(const openflow::PacketIn& msg,
-                            const proto::Response& response);
+                            proto::Response& response);
 
   /// A response transiting the domain (matched nowhere): optionally
   /// augment it (§4 network collaboration) and forward it one hop.
@@ -142,8 +144,6 @@ class IdentxxController : public AdmissionController {
  private:
   void handle_ident_packet(const openflow::PacketIn& msg,
                            const net::FiveTuple& flow);
-  void handle_ident_response(const openflow::PacketIn& msg,
-                             const proto::Response& response);
   void handle_transit_query(const openflow::PacketIn& msg);
   void forward_one_hop(const openflow::PacketIn& msg,
                        net::Ipv4Address toward_ip);

@@ -119,7 +119,9 @@ void ShardedAdmissionController::dispatch_ident(const openflow::PacketIn& msg,
   // embedded in the response body, with its ports in flow orientation.
   // The responder may be the flow's source OR its destination, and the
   // two orientations can hash to different shards, so probe both domains'
-  // collectors; exactly one consumes (and counts) a matching response.
+  // collectors; exactly one consumes (and counts) a matching response,
+  // moving it into its pending context — a domain that does not consume
+  // leaves it intact for the next probe or the transit path.
   // Malformed payloads go to the ingress switch's domain, which warns and
   // drops exactly as a standalone controller would.
   proto::Response response;

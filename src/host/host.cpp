@@ -91,6 +91,7 @@ void Host::listen(int pid, std::uint16_t port, net::IpProto proto) {
 void Host::close_flow(const net::FiveTuple& flow) {
   connected_.erase(flow);
   flow_pairs_.erase(flow);
+  send_seqs_.erase(flow);
 }
 
 void Host::register_flow_pairs(const net::FiveTuple& flow,

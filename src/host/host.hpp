@@ -110,7 +110,13 @@ class Host : public sim::Node, public proto::FlowResolver {
   /// controller as a fresh flow — exactly PF's semantics.
   void set_auto_accept(bool enabled) noexcept { auto_accept_ = enabled; }
 
+  /// Forget `flow`: its socket, registered pairs and send-sequence stamp.
   void close_flow(const net::FiveTuple& flow);
+
+  /// Flows holding a send-sequence stamp: sent on and not yet closed.
+  [[nodiscard]] std::size_t stamped_flow_count() const noexcept {
+    return send_seqs_.size();
+  }
 
   // ---- application -> daemon run-time API (§3.5) ---------------------------
 

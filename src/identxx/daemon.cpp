@@ -5,6 +5,21 @@
 
 namespace identxx::proto {
 
+namespace {
+
+/// Pairs a response section takes from `apps` (each pair, plus an app-name
+/// alias after a name) and from `global`.
+std::size_t config_pair_count(const std::vector<const AppConfig*>& apps,
+                              const KeyValueList& global) {
+  std::size_t n = global.size();
+  for (const AppConfig* app : apps) {
+    for (const auto& [key, value] : app->pairs) n += key == keys::kName ? 2 : 1;
+  }
+  return n;
+}
+
+}  // namespace
+
 void Daemon::add_config(ConfigTrust trust, const DaemonConfig& config) {
   DaemonConfig copy = config;
   if (trust == ConfigTrust::kSystem) {
@@ -45,7 +60,7 @@ Response Daemon::answer(const Query& query, net::Ipv4Address query_peer_ip,
     return response;
   }
   ++stats_.queries_answered;
-  return build_response(query, *owner);
+  return build_response(query, std::move(*owner));
 }
 
 std::optional<std::string> Daemon::answer_classic(
@@ -85,24 +100,32 @@ std::optional<std::string> Daemon::answer_classic(
   return ports + " : USERID : UNIX : " + owner->user_id;
 }
 
-Response Daemon::build_response(const Query& query,
-                                const FlowOwner& owner) const {
+Response Daemon::build_response(const Query& query, FlowOwner owner) const {
   Response response;
   response.proto = query.proto;
   response.src_port = query.src_port;
   response.dst_port = query.dst_port;
+  response.sections.reserve(3);  // system, user, dynamic
 
   // Section 1 — facts the daemon itself derives (kernel-level truth).
+  const auto system_apps = system_config_.find_apps(owner.exe_path);
   Section system;
-  system.add(keys::kUserId, owner.user_id);
-  if (!owner.group_id.empty()) system.add(keys::kGroupId, owner.group_id);
+  system.pairs.reserve(
+      4 + host_facts_.size() +
+      config_pair_count(system_apps, system_config_.global_pairs));
+  system.add(keys::kUserId, std::move(owner.user_id));
+  if (!owner.group_id.empty()) {
+    system.add(keys::kGroupId, std::move(owner.group_id));
+  }
   system.add(keys::kPid, std::to_string(owner.pid));
-  if (!owner.exe_hash.empty()) system.add(keys::kExeHash, owner.exe_hash);
+  if (!owner.exe_hash.empty()) {
+    system.add(keys::kExeHash, std::move(owner.exe_hash));
+  }
   for (const auto& [key, value] : host_facts_) {
     system.add(key, value);
   }
   // @app pairs from system config (administrator / distro / third party).
-  for (const AppConfig* app : system_config_.find_apps(owner.exe_path)) {
+  for (const AppConfig* app : system_apps) {
     for (const auto& [key, value] : app->pairs) {
       system.add(key, value);
       if (key == keys::kName) system.add(keys::kAppName, value);
@@ -114,8 +137,10 @@ Response Daemon::build_response(const Query& query,
   response.append_section(std::move(system));
 
   // Section 2 — user-modifiable configuration.
+  const auto user_apps = user_config_.find_apps(owner.exe_path);
   Section user;
-  for (const AppConfig* app : user_config_.find_apps(owner.exe_path)) {
+  user.pairs.reserve(config_pair_count(user_apps, user_config_.global_pairs));
+  for (const AppConfig* app : user_apps) {
     for (const auto& [key, value] : app->pairs) {
       user.add(key, value);
       if (key == keys::kName) user.add(keys::kAppName, value);
@@ -129,9 +154,7 @@ Response Daemon::build_response(const Query& query,
   // Section 3 — pairs the application registered for this flow at run time
   // (delivered over the local socket, §3.5).
   Section dynamic;
-  for (const auto& [key, value] : owner.dynamic_pairs) {
-    dynamic.add(key, value);
-  }
+  dynamic.pairs = std::move(owner.dynamic_pairs);
   response.append_section(std::move(dynamic));
 
   (void)query;  // `keys` are hints only; we return everything we know (§3.2)

@@ -98,7 +98,7 @@ class Daemon {
 
  private:
   [[nodiscard]] Response build_response(const Query& query,
-                                        const FlowOwner& owner) const;
+                                        FlowOwner owner) const;
 
   const FlowResolver* resolver_;
   DaemonConfig system_config_;

@@ -2,9 +2,6 @@
 
 namespace identxx::proto {
 
-ResponseDict::ResponseDict(const Response& response)
-    : sections_(response.sections) {}
-
 std::optional<std::string_view> ResponseDict::latest(
     std::string_view key) const noexcept {
   const std::string* found = nullptr;

@@ -10,8 +10,14 @@
 // concatenates the values from all sections in order, which lets a policy
 // check that a chain of endorsements was followed or that a value changed
 // between networks.
+//
+// A ResponseDict borrows: it reads the Response it was built over, which
+// the caller keeps alive for as long as the dict is used (the controller's
+// AdmissionContext owns the responses its decision reads).  Building one
+// copies nothing.
 
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -22,8 +28,12 @@ namespace identxx::proto {
 
 class ResponseDict {
  public:
+  /// The dict of no response: every lookup misses.
   ResponseDict() = default;
-  explicit ResponseDict(const Response& response);
+  /// A view of `response`, which must outlive the dict.
+  explicit ResponseDict(const Response& response) noexcept
+      : sections_(response.sections) {}
+  ResponseDict(const Response&&) = delete;  // would dangle
 
   /// @dict[key]: value from the latest section that defines `key`.
   [[nodiscard]] std::optional<std::string_view> latest(
@@ -47,7 +57,7 @@ class ResponseDict {
   [[nodiscard]] bool empty() const noexcept { return sections_.empty(); }
 
  private:
-  std::vector<Section> sections_;
+  std::span<const Section> sections_;
 };
 
 }  // namespace identxx::proto

@@ -47,11 +47,21 @@ struct Query {
 
   [[nodiscard]] bool operator==(const Query&) const noexcept = default;
 
+  /// The wire text, written into one buffer sized up front.
   [[nodiscard]] std::string serialize() const;
 
+  /// One pass over `text`; `keys` is reserved once from its line count.
   /// Throws ParseError on malformed input.
   [[nodiscard]] static Query parse(std::string_view text);
 };
+
+/// The bytes Query{proto, src_port, dst_port, keys}.serialize() writes,
+/// for keys already rendered as `key_lines` (each key followed by '\n'):
+/// a sender whose key list never changes renders it once.
+[[nodiscard]] std::string serialize_query(net::IpProto proto,
+                                          std::uint16_t src_port,
+                                          std::uint16_t dst_port,
+                                          std::string_view key_lines);
 
 /// One section of a response: ordered key-value pairs from a single source.
 struct Section {
@@ -80,14 +90,15 @@ struct Response {
   /// an empty line followed by its pairs, §2).
   void append_section(Section section);
 
+  /// The wire text, written into one buffer sized up front.
   [[nodiscard]] std::string serialize() const;
 
-  /// Throws ParseError on malformed input.
+  /// One pass over `text`.  `sections` and each section's pairs are
+  /// reserved once from the line count, so the only other allocations are
+  /// keys and values too long for the small-string buffer.  Throws
+  /// ParseError on malformed input.
   [[nodiscard]] static Response parse(std::string_view text);
 };
-
-/// Render an IpProto for the first line ("tcp", "udp", or decimal).
-[[nodiscard]] std::string proto_token(net::IpProto proto);
 
 /// Parse a proto token (name or decimal).  Throws ParseError.
 [[nodiscard]] net::IpProto parse_proto_token(std::string_view token);

@@ -92,9 +92,8 @@ TenTuple Packet::ten_tuple(std::uint16_t in_port) const noexcept {
                   ip.src,    ip.dst,   ip.proto, src_port(),     dst_port()};
 }
 
-std::string Packet::payload_text() const {
-  return std::string(reinterpret_cast<const char*>(payload.data()),
-                     payload.size());
+std::string_view Packet::payload_text() const noexcept {
+  return {reinterpret_cast<const char*>(payload.data()), payload.size()};
 }
 
 void Packet::set_payload_text(std::string_view text) {

@@ -11,6 +11,7 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "net/flow.hpp"
@@ -90,8 +91,9 @@ struct Packet {
   /// OpenFlow match fields; `in_port` supplied by the receiving switch.
   [[nodiscard]] TenTuple ten_tuple(std::uint16_t in_port) const noexcept;
 
-  /// Payload interpreted as text (for ident++ wire messages).
-  [[nodiscard]] std::string payload_text() const;
+  /// Payload interpreted as text (for ident++ wire messages): a view of
+  /// `payload`, valid until the payload changes or the packet dies.
+  [[nodiscard]] std::string_view payload_text() const noexcept;
   void set_payload_text(std::string_view text);
 
   /// Serialize to wire bytes, computing lengths and checksums.

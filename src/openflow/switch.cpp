@@ -22,8 +22,9 @@ Switch::Switch(std::string name, std::size_t table_capacity)
       [this](const FlowEntry& entry, RemovalReason reason) {
         if (controller_ == nullptr || simulator() == nullptr) return;
         // Notify asynchronously over the (possibly faulted) control channel.
-        FlowRemovedMsg msg{id(), entry, reason};
-        deliver_control([this, msg]() { controller_->on_flow_removed(msg); });
+        deliver_control([this, msg = FlowRemovedMsg{id(), entry, reason}]() {
+          controller_->on_flow_removed(msg);
+        });
       });
 }
 
@@ -164,8 +165,10 @@ void Switch::punt_to_controller(const net::Packet& packet, sim::PortId in_port) 
     return;
   }
   ++stats_.packets_to_controller;
-  PacketIn msg{id(), packet, in_port};
-  deliver_control([this, msg]() { controller_->on_packet_in(msg); });
+  // The one copy of the packet: the event owns it from here.
+  deliver_control([this, msg = PacketIn{id(), packet, in_port}]() {
+    controller_->on_packet_in(msg);
+  });
 }
 
 void Switch::deliver_control(std::function<void()> deliver) {

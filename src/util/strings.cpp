@@ -6,14 +6,6 @@
 
 namespace identxx::util {
 
-namespace {
-
-[[nodiscard]] bool is_space(char c) noexcept {
-  return c == ' ' || c == '\t' || c == '\r' || c == '\n';
-}
-
-}  // namespace
-
 std::string_view trim(std::string_view s) noexcept {
   return trim_right(trim_left(s));
 }

@@ -12,6 +12,11 @@
 
 namespace identxx::util {
 
+/// The whitespace every helper here trims and splits on: space, tab, CR, LF.
+[[nodiscard]] constexpr bool is_space(char c) noexcept {
+  return c == ' ' || c == '\t' || c == '\r' || c == '\n';
+}
+
 /// Remove leading and trailing whitespace (space, tab, CR, LF).
 [[nodiscard]] std::string_view trim(std::string_view s) noexcept;
 

@@ -1,10 +1,14 @@
-// Allocation lock-in for the flat per-flow tables (DESIGN.md §8.1, §14).
-// Once warmed up to its working size, the switch flow table's evicting
-// exact insert and lookup, and the controller's response memo insert and
-// contains, allocate nothing.  This binary replaces the global operator
-// new with a counting one.  Sanitizer builds, whose runtime owns operator
-// new, keep the default: there every count reads 0, so only the
-// functional checks bite.
+// Allocation lock-in for the flat per-flow tables (DESIGN.md §8.1, §14)
+// and the ident++ wire path (DESIGN.md §2.1).  Once warmed up to its
+// working size, the switch flow table's evicting exact insert and lookup,
+// and the controller's response memo insert and contains, allocate
+// nothing.  Each ident++ message costs at most one allocation to
+// serialize, one to parse as a query, and for a response one for its
+// section list, one per section and one per string too long for the
+// small-string buffer; a ResponseDict over it costs none.  This binary
+// replaces the global operator new with a counting one.  Sanitizer builds,
+// whose runtime owns operator new, keep the default: there every count
+// reads 0, so only the functional checks bite.
 
 #include <gtest/gtest.h>
 
@@ -13,6 +17,9 @@
 #include <new>
 
 #include "controller/recent_keys.hpp"
+#include "identxx/dict.hpp"
+#include "identxx/keys.hpp"
+#include "identxx/wire.hpp"
 #include "openflow/flow_table.hpp"
 
 #if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
@@ -158,6 +165,105 @@ TEST(Allocations, FullRecentKeysRetiresOldestWithoutAllocating) {
     EXPECT_FALSE(memo.contains(key(i - static_cast<std::uint32_t>(kCap)), 0));
     EXPECT_TRUE(memo.contains(key(i - static_cast<std::uint32_t>(kCap) + 1), 0));
   }
+}
+
+// ---------------------------------------------------------------- ident++
+
+/// The controller's query: nine key hints, all within the small-string
+/// buffer.
+proto::Query controller_query() {
+  proto::Query q;
+  q.src_port = 40000;
+  q.dst_port = 80;
+  q.keys = {proto::keys::kUserId,  proto::keys::kGroupId,
+            proto::keys::kName,    proto::keys::kVersion,
+            proto::keys::kExeHash, proto::keys::kRequirements,
+            proto::keys::kReqSig,  proto::keys::kRuleMaker,
+            proto::keys::kOsPatch};
+  return q;
+}
+
+/// A daemon's answer on an identity deployment: one section, one long
+/// value (the executable hash).
+proto::Response identity_response() {
+  proto::Response r;
+  r.src_port = 40000;
+  r.dst_port = 80;
+  proto::Section system;
+  system.add(proto::keys::kUserId, "u1");
+  system.add(proto::keys::kGroupId, "staff");
+  system.add(proto::keys::kPid, "104");
+  system.add(proto::keys::kExeHash, std::string(64, 'c'));
+  r.append_section(std::move(system));
+  return r;
+}
+
+/// A daemon's answer for a signed application: the system section, then
+/// the user-configured pairs with a long requirements value and signature.
+proto::Response attest_response() {
+  proto::Response r = identity_response();
+  proto::Section user;
+  user.add(proto::keys::kName, "app3-17");
+  user.add(proto::keys::kAppName, "app3-17");
+  user.add(proto::keys::kRequirements, "pass from any to any port 80");
+  user.add(proto::keys::kReqSig, std::string(128, 'e'));
+  r.append_section(std::move(user));
+  return r;
+}
+
+/// Keys and values that do not fit the small-string buffer.
+std::size_t long_strings(const proto::Response& r) {
+  const std::size_t small = std::string().capacity();
+  std::size_t n = 0;
+  for (const auto& section : r.sections) {
+    for (const auto& [key, value] : section.pairs) {
+      n += (key.size() > small ? 1 : 0) + (value.size() > small ? 1 : 0);
+    }
+  }
+  return n;
+}
+
+TEST(Allocations, QueryParsesWithOneAllocationAndSerializesWithOne) {
+  const proto::Query query = controller_query();
+  std::string wire;
+  EXPECT_LE(allocations_in([&] { wire = query.serialize(); }), 1u);
+  proto::Query parsed;
+  EXPECT_LE(allocations_in([&] { parsed = proto::Query::parse(wire); }), 1u);
+  EXPECT_EQ(parsed, query);
+}
+
+TEST(Allocations, ResponsesParseWithOneAllocationPerSectionAndLongString) {
+  for (const proto::Response& response :
+       {identity_response(), attest_response()}) {
+    std::string wire;
+    EXPECT_LE(allocations_in([&] { wire = response.serialize(); }), 1u);
+    proto::Response parsed;
+    // The section list, each section's pairs, and each long string.
+    const std::size_t budget =
+        1 + response.sections.size() + long_strings(response);
+    EXPECT_LE(allocations_in([&] { parsed = proto::Response::parse(wire); }),
+              budget)
+        << response.sections.size() << " section(s)";
+    EXPECT_EQ(parsed, response);
+  }
+  // The identity answer: 2 plus its one long value.
+  EXPECT_EQ(1 + identity_response().sections.size() +
+                long_strings(identity_response()),
+            3u);
+}
+
+TEST(Allocations, ResponseDictBorrowsItsResponse) {
+  const proto::Response response = attest_response();
+  std::optional<std::string_view> user;
+  std::size_t sections = 0;
+  EXPECT_EQ(allocations_in([&] {
+              const proto::ResponseDict dict(response);
+              user = dict.latest(proto::keys::kUserId);
+              sections = dict.section_count();
+            }),
+            0u);
+  EXPECT_EQ(user, "u1");
+  EXPECT_EQ(sections, 2u);
 }
 
 }  // namespace

@@ -363,8 +363,8 @@ TEST(QueryInterception, ControllerAnswersOnBehalfOfHost) {
   for (const auto& packet : asker.delivered()) {
     if (packet.tcp && packet.tcp->src_port == proto::kIdentPort) {
       EXPECT_EQ(packet.ip.src, target.ip());  // spoofed
-      const proto::ResponseDict dict(
-          proto::Response::parse(packet.payload_text()));
+      const auto response = proto::Response::parse(packet.payload_text());
+      const proto::ResponseDict dict(response);
       EXPECT_EQ(*dict.latest(proto::keys::kUserId), "proxied-identity");
       answered = true;
     }

@@ -291,6 +291,27 @@ TEST_F(WireFixture, ClassicIdentQueryOverTheWire) {
             std::to_string(flow.src_port) + ", 23 : USERID : UNIX : jnaous\r\n");
 }
 
+TEST_F(WireFixture, ClosedFlowsLeaveNoSendSequenceBehind) {
+  // A long-running client opens and closes flows forever; the per-flow
+  // sequence stamps must not outlive the flows (100k flows wrap the
+  // ephemeral port range four times).
+  host->add_user("alice", "users");
+  const int pid = host->launch("alice", "/bin/x");
+  for (int i = 0; i < 100000; ++i) {
+    const auto flow = host->connect_flow(pid, kPeerIp, 80);
+    host->send_flow_packet(flow);
+    EXPECT_EQ(host->stamped_flow_count(), 1u);
+    host->close_flow(flow);
+    if (i % 1000 == 999) {
+      sim.run();
+      ASSERT_EQ(peer->delivered().size(), 1000u);
+      peer->clear_delivered();
+    }
+  }
+  EXPECT_EQ(host->stamped_flow_count(), 0u);
+  EXPECT_EQ(host->stats().packets_sent, 100000u);
+}
+
 TEST_F(WireFixture, DeliveryTimestampTracksLastPayload) {
   EXPECT_EQ(host->last_delivery_time(), -1);
   net::Packet packet = net::make_tcp_packet(

@@ -168,7 +168,8 @@ TEST(ResponseDict, StarConcatenatesAllSections) {
 }
 
 TEST(ResponseDict, MissingKey) {
-  const ResponseDict dict{Response{}};
+  const Response empty;
+  const ResponseDict dict(empty);
   EXPECT_FALSE(dict.latest("nope").has_value());
   EXPECT_FALSE(dict.contains("nope"));
   EXPECT_EQ(dict.concatenated("nope"), "");

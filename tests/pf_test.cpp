@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <deque>
+
 #include "crypto/schnorr.hpp"
 #include "identxx/daemon_config.hpp"
 #include "pf/eval.hpp"
@@ -24,9 +26,12 @@ net::FiveTuple flow(const char* src, const char* dst, std::uint16_t dport = 80,
                         *net::Ipv4Address::parse(dst), proto, sport, dport};
 }
 
+/// A dict over a one-section response.  A ResponseDict borrows its
+/// response, so the responses live as long as the test binary.
 proto::ResponseDict dict_of(
     std::initializer_list<std::pair<const char*, const char*>> pairs) {
-  proto::Response r;
+  static std::deque<proto::Response> responses;  // stable addresses
+  proto::Response& r = responses.emplace_back();
   proto::Section s;
   for (const auto& [k, v] : pairs) s.add(k, v);
   r.append_section(s);

@@ -39,8 +39,8 @@ std::string read_file(const std::string& path) {
   return out.str();
 }
 
-/// "name=skype,version=210" -> one response section.
-proto::ResponseDict parse_pairs(std::string_view spec) {
+/// "name=skype,version=210" -> a response of one section.
+proto::Response parse_pairs(std::string_view spec) {
   proto::Response response;
   proto::Section section;
   for (const auto item : util::split(spec, ',')) {
@@ -50,7 +50,7 @@ proto::ResponseDict parse_pairs(std::string_view spec) {
     section.add(std::string(util::trim(key)), std::string(util::trim(*value)));
   }
   response.append_section(std::move(section));
-  return proto::ResponseDict(response);
+  return response;
 }
 
 /// "tcp:SRC:SPORT:DST:DPORT".
@@ -94,6 +94,8 @@ int usage() {
 int main(int argc, char** argv) {
   std::vector<pf::ControlFile> files;
   pf::FlowContext ctx;
+  proto::Response src;  // ctx.src and ctx.dst borrow these
+  proto::Response dst;
   bool have_flow = false;
   try {
     for (int i = 1; i < argc; ++i) {
@@ -109,9 +111,11 @@ int main(int argc, char** argv) {
         ctx.flow = parse_flow(next());
         have_flow = true;
       } else if (arg == "--src") {
-        ctx.src = parse_pairs(next());
+        src = parse_pairs(next());
+        ctx.src = proto::ResponseDict(src);
       } else if (arg == "--dst") {
-        ctx.dst = parse_pairs(next());
+        dst = parse_pairs(next());
+        ctx.dst = proto::ResponseDict(dst);
       } else {
         return usage();
       }
