@@ -11,21 +11,18 @@ namespace {
 /// Pseudo-MAC stamped on controller-originated query packets.
 const net::MacAddress kControllerMac{0x02c0ffee0000ULL};
 
-/// Key hints included in every query (§3.2: hints only; daemons may return
-/// more), rendered once as the query's key lines.
-const std::string& default_query_key_lines() {
-  static const std::string lines = [] {
-    std::string out;
-    for (const char* key :
-         {proto::keys::kUserId, proto::keys::kGroupId, proto::keys::kName,
-          proto::keys::kVersion, proto::keys::kExeHash,
-          proto::keys::kRequirements, proto::keys::kReqSig,
-          proto::keys::kRuleMaker, proto::keys::kOsPatch}) {
-      out.append(key).push_back('\n');
-    }
-    return out;
-  }();
-  return lines;
+/// The query every send_query writes, before its flow fields are set: the
+/// key hints (§3.2: hints only; daemons may return more) never change.
+proto::Query default_query() {
+  proto::Query query;
+  query.keys = {
+      proto::keys::kUserId,      proto::keys::kGroupId,
+      proto::keys::kName,        proto::keys::kVersion,
+      proto::keys::kExeHash,     proto::keys::kRequirements,
+      proto::keys::kReqSig,      proto::keys::kRuleMaker,
+      proto::keys::kOsPatch,
+  };
+  return query;
 }
 
 }  // namespace
@@ -44,7 +41,8 @@ IdentxxController::IdentxxController(openflow::Topology* topology,
     : AdmissionController(
           topology,
           AdmissionPipeline::identxx(std::move(ruleset), std::move(registry)),
-          std::move(config)) {}
+          std::move(config)),
+      query_(default_query()) {}
 
 void IdentxxController::set_policy(pf::Ruleset ruleset) {
   replace_engine(std::make_unique<PolicyDecisionEngine>(std::move(ruleset)));
@@ -103,6 +101,10 @@ bool IdentxxController::send_query(const net::FiveTuple& flow,
   const auto attachment = topology().attachment(host->node);
   if (!attachment) return false;
 
+  query_.proto = flow.proto;
+  query_.src_port = flow.src_port;
+  query_.dst_port = flow.dst_port;
+
   // §3.2: the query's source IP is the flow's other endpoint.  The
   // ephemeral source port comes from the per-controller seeded stream when
   // one is configured (seed_query_ports), else the sequential counter.
@@ -116,9 +118,7 @@ bool IdentxxController::send_query(const net::FiveTuple& flow,
   }
   net::Packet packet = net::make_tcp_packet(
       kControllerMac, host->mac, target.spoof_src, target.target,
-      query_port, proto::kIdentPort,
-      proto::serialize_query(flow.proto, flow.src_port, flow.dst_port,
-                             default_query_key_lines()),
+      query_port, proto::kIdentPort, query_.serialize(),
       net::TcpFlags::kPsh | net::TcpFlags::kAck);
 
   // Inject directly out of the host-facing port.

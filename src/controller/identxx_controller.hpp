@@ -167,6 +167,8 @@ class IdentxxController : public AdmissionController {
   RecentKeys recent_responses_{kAugmentWindow};
   ResponseAugmenter augmenter_;
   QueryInterceptor query_interceptor_;
+  /// The outgoing query, its keys set once; send_query fills in the flow.
+  proto::Query query_;
   std::uint16_t next_query_port_ = 20000;
   std::optional<util::SplitMix64> query_port_rng_;  ///< seeded stream, if any
 };

@@ -113,11 +113,6 @@ class Host : public sim::Node, public proto::FlowResolver {
   /// Forget `flow`: its socket, registered pairs and send-sequence stamp.
   void close_flow(const net::FiveTuple& flow);
 
-  /// Flows holding a send-sequence stamp: sent on and not yet closed.
-  [[nodiscard]] std::size_t stamped_flow_count() const noexcept {
-    return send_seqs_.size();
-  }
-
   // ---- application -> daemon run-time API (§3.5) ---------------------------
 
   /// Attach dynamic key-value pairs to one flow (the web-browser

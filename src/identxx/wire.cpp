@@ -47,6 +47,23 @@ class LineCursor {
     return lines_ - number_;
   }
 
+  /// Lines next() returns before the next blank one (a line that trims to
+  /// empty), without consuming them: a bound on a section's pairs left.
+  [[nodiscard]] std::size_t remaining_before_blank() const noexcept {
+    std::size_t count = 0;
+    std::string_view rest = rest_;
+    while (!rest.empty()) {
+      const std::size_t end = rest.find('\n');
+      const std::string_view line =
+          end == std::string_view::npos ? rest : rest.substr(0, end);
+      if (util::trim_right(line).empty()) break;
+      ++count;
+      rest.remove_prefix(end == std::string_view::npos ? rest.size()
+                                                       : end + 1);
+    }
+    return count;
+  }
+
  private:
   std::string_view rest_;
   std::size_t lines_;  ///< lines next() returns in all
@@ -161,17 +178,6 @@ std::string Query::serialize() const {
   return out;
 }
 
-std::string serialize_query(net::IpProto proto, std::uint16_t src_port,
-                            std::uint16_t dst_port,
-                            std::string_view key_lines) {
-  const FirstLineText first(proto, src_port, dst_port);
-  std::string out;
-  out.reserve(first.view().size() + key_lines.size());
-  out.append(first.view());
-  out.append(key_lines);
-  return out;
-}
-
 Query Query::parse(std::string_view text) {
   if (text.empty()) throw ParseError("empty ident++ query");
   LineCursor lines(text);
@@ -267,8 +273,11 @@ Response Response::parse(std::string_view text) {
     if (key.empty()) {
       throw ParseError("response line with empty key", lines.number());
     }
-    // The lines left bound this section's pairs: one reservation.
-    if (current.pairs.empty()) current.pairs.reserve(lines.remaining() + 1);
+    // This line and the section's lines left bound its pairs: one
+    // reservation, summing to at most the line count over all sections.
+    if (current.pairs.empty()) {
+      current.pairs.reserve(lines.remaining_before_blank() + 1);
+    }
     current.pairs.emplace_back(key, util::trim(*value_part));
   }
   response.append_section(std::move(current));

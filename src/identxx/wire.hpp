@@ -55,14 +55,6 @@ struct Query {
   [[nodiscard]] static Query parse(std::string_view text);
 };
 
-/// The bytes Query{proto, src_port, dst_port, keys}.serialize() writes,
-/// for keys already rendered as `key_lines` (each key followed by '\n'):
-/// a sender whose key list never changes renders it once.
-[[nodiscard]] std::string serialize_query(net::IpProto proto,
-                                          std::uint16_t src_port,
-                                          std::uint16_t dst_port,
-                                          std::string_view key_lines);
-
 /// One section of a response: ordered key-value pairs from a single source.
 struct Section {
   std::vector<std::pair<std::string, std::string>> pairs;
@@ -93,10 +85,11 @@ struct Response {
   /// The wire text, written into one buffer sized up front.
   [[nodiscard]] std::string serialize() const;
 
-  /// One pass over `text`.  `sections` and each section's pairs are
-  /// reserved once from the line count, so the only other allocations are
-  /// keys and values too long for the small-string buffer.  Throws
-  /// ParseError on malformed input.
+  /// One pass over `text`.  `sections` is reserved once from the line
+  /// count and each section's pairs once from that section's own lines, so
+  /// the reservations stay linear in the text and the only other
+  /// allocations are keys and values too long for the small-string buffer.
+  /// Throws ParseError on malformed input.
   [[nodiscard]] static Response parse(std::string_view text);
 };
 

@@ -110,6 +110,22 @@ TEST(Response, ParseRejectsMalformed) {
   EXPECT_THROW((void)Response::parse("tcp 1 2\n: empty-key\n"), ParseError);
 }
 
+TEST(Response, ParseReservesLinearlyInTheLineCount) {
+  // Many one-pair sections: each section's reservation is bounded by its
+  // own lines, so the pairs reserved over the whole message never exceed
+  // the lines it has (a reservation from all lines left would be
+  // quadratic).
+  std::string text = "tcp 1 2\n";
+  constexpr std::size_t kSections = 2000;
+  for (std::size_t i = 0; i < kSections; ++i) text += "a:\n\n";
+  const Response r = Response::parse(text);
+  ASSERT_EQ(r.sections.size(), kSections);
+  std::size_t reserved = 0;
+  for (const auto& section : r.sections) reserved += section.pairs.capacity();
+  EXPECT_LE(reserved, 2 * kSections + 1);
+  EXPECT_LE(r.sections.capacity(), 2 * kSections + 1);
+}
+
 TEST(Response, SectionFindReturnsLastInSection) {
   Section s;
   s.add("k", "first");

@@ -10,11 +10,13 @@
 //     results;
 //   - parse -> serialize -> parse is a fixpoint, and serialize writes the
 //     reference's bytes;
+//   - a parsed response reserves no more pairs than its text has lines;
 //   - a malformed response fed to an IdentxxController never admits the
 //     flow it claims to answer.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -294,6 +296,12 @@ class Mutator {
   util::SplitMix64 rng_;
 };
 
+/// Lines in `text`, counting an unterminated last one.
+std::size_t line_count(std::string_view text) {
+  return static_cast<std::size_t>(
+             std::count(text.begin(), text.end(), '\n')) + 1;
+}
+
 bool named_proto(net::IpProto proto) {
   return proto == net::IpProto::kTcp || proto == net::IpProto::kUdp ||
          proto == net::IpProto::kIcmp;
@@ -343,6 +351,12 @@ TEST(WireFuzz, ResponseParserMatchesReferenceAndRoundTrips) {
     if (!got) continue;
     ++accepted;
     ASSERT_EQ(*got, *want) << "case " << n << ": " << printable(text);
+    // Reservations stay linear in the text: no more pairs than lines.
+    std::size_t reserved = 0;
+    for (const auto& section : got->sections) {
+      reserved += section.pairs.capacity();
+    }
+    ASSERT_LE(reserved, line_count(text)) << "case " << n;
     const std::string wire = got->serialize();
     if (named_proto(got->proto)) {
       ASSERT_EQ(wire, reference::serialize_response(*got)) << "case " << n;
